@@ -379,7 +379,6 @@ class _Conn:
         self.client_id: str | None = None
         self.send_lock = threading.Lock()
         self.will: Will | None = None
-        self.taken_over = False
 
     def send(self, data: bytes) -> None:
         with self.send_lock:
@@ -402,6 +401,15 @@ class Broker:
     Routing takes its decisions under a single state lock (a consistent
     snapshot); socket writes happen outside it under per-connection send
     locks, so per-publisher delivery order is preserved.
+
+    A connection touches its session only while it owns it. A CONNECT
+    with a client id already in use takes the id over: the old session
+    is dropped, its will is published, and any packet the old connection
+    still sends is ignored. ``clean_session=0`` is served as a clean
+    session. Whatever ends a connection (DISCONNECT, EOF, keep-alive
+    timeout, malformed bytes or an error in the broker) closes only that
+    connection and runs one teardown, which publishes its will unless it
+    sent DISCONNECT.
     """
 
     def __init__(
@@ -504,61 +512,56 @@ class Broker:
             conn.sock.settimeout(keep_alive * 1.5 if keep_alive else None)
             while self._running:
                 frame = read_frame(conn.sock)
-                if frame is None:
-                    self._teardown(conn, graceful=False)
-                    return
-                packet = decode_packet(frame)
-                if not self._handle_packet(conn, packet):
+                if frame is None or not self._handle_packet(conn, decode_packet(frame)):
                     return
         except socket.timeout:
             logger.warning("%s: keep-alive timeout", conn.client_id or conn.addr)
-            self._teardown(conn, graceful=False)
-        except (ConnectionError, OSError):
-            self._teardown(conn, graceful=False)
         except CodecError as exc:
             logger.warning("%s: closing connection: %s", conn.client_id or conn.addr, exc)
-            self._teardown(conn, graceful=False)
+        except OSError:
+            pass  # the peer went away
+        except Exception:
+            logger.exception("%s: closing connection after an error", conn.client_id or conn.addr)
         finally:
+            self._teardown(conn)
             conn.close()
 
     def _handle_connect(self, conn: _Conn, body: Connect) -> bool:
         if body.protocol_level != 4:
-            conn.send(encode_packet(ControlPacket(Connack(False, CONNACK_BAD_PROTOCOL))))
-            return False
-        if not body.client_id:
-            conn.send(encode_packet(ControlPacket(Connack(False, CONNACK_ID_REJECTED))))
-            return False
-        will_sends: list[tuple[_Conn, bytes]] = []
-        with self._lock:
-            old = self._conns.get(body.client_id)
-            if old is not None:
+            code = CONNACK_BAD_PROTOCOL
+        elif not body.client_id:
+            code = CONNACK_ID_REJECTED
+        else:
+            code = CONNACK_ACCEPTED
+            with self._lock:
+                old = self._conns.get(body.client_id)
                 # MQTT 3.1.1 takeover: drop the existing session first.
-                old.taken_over = True
-                will_sends = self._drop_session(old, graceful=False)
-            conn.client_id = body.client_id
-            conn.will = body.will
-            self._conns[body.client_id] = conn
-            self.state.open_session(body.client_id)
-        for target, data in will_sends:
-            self._safe_send(target, data)
-        if old is not None:
-            old.close()
-        conn.send(encode_packet(ControlPacket(Connack(False, CONNACK_ACCEPTED))))
+                will_sends = self._drop_session(old) if old is not None else []
+                conn.client_id = body.client_id
+                conn.will = body.will
+                self._conns[body.client_id] = conn
+                self.state.open_session(body.client_id)
+            self._send_all(will_sends)
+            if old is not None:
+                old.close()
+        conn.send(encode_packet(ControlPacket(Connack(False, code))))
+        if code != CONNACK_ACCEPTED:
+            return False
         self._events.emit(body.client_id, "CONNECT")
         return True
 
-    def _teardown(self, conn: _Conn, graceful: bool) -> None:
-        if conn.client_id is None or conn.taken_over:
-            return
+    def _teardown(self, conn: _Conn) -> None:
+        """Drop the connection's session if it still owns it."""
         with self._lock:
-            if self._conns.get(conn.client_id) is not conn:
+            if conn.client_id is None or self._conns.get(conn.client_id) is not conn:
                 return
-            sends = self._drop_session(conn, graceful)
-        for target, data in sends:
-            self._safe_send(target, data)
+            sends = self._drop_session(conn)
+        self._send_all(sends)
 
-    def _drop_session(self, conn: _Conn, graceful: bool) -> list[tuple[_Conn, bytes]]:
-        """Remove a session (lock held); returns pending will deliveries."""
+    def _drop_session(self, conn: _Conn) -> list[tuple[_Conn, bytes]]:
+        """Remove a session (lock held); returns its will's deliveries.
+
+        A connection that sent DISCONNECT has no will left to publish."""
         cid = conn.client_id
         assert cid is not None
         self._conns.pop(cid, None)
@@ -570,14 +573,13 @@ class Broker:
             geo=record.location if record else None,
             distance_m=record.cumulative_distance_m if record else None,
         )
+        will, conn.will = conn.will, None
         sends: list[tuple[_Conn, bytes]] = []
-        if not graceful and conn.will is not None:
-            will = conn.will
+        if will is not None:
             if will.retain:
                 self.state.set_retained(will.topic, will.payload, will.qos)
-            deliveries = self.state.route(cid, will.topic, will.qos, None)
-            sends = self._prepare_sends(deliveries, will.topic, will.payload, None)
-        conn.will = None
+            for d in self.state.route(cid, will.topic, will.qos, None):
+                self._queue_publish(sends, d.client_id, will.topic, will.payload, d.qos)
         return sends
 
     # -- packet dispatch ----------------------------------------------------------
@@ -589,162 +591,123 @@ class Broker:
         body = packet.body
         geo = packet.geolocation
         sends: list[tuple[_Conn, bytes]] = []
-        disconnect = False
+        reply = None
+        retained: list[tuple[str, bytes, int]] = []
 
         with self._lock:
-            session = self.state.sessions.get(cid)
-            if session is None:
-                return False
+            if self._conns.get(cid) is not conn:
+                return False  # taken over: the session belongs to a newer connection
+            session = self.state.sessions[cid]
             update: LocationUpdate | None = None
             if geo is not None:
                 session.geo_capable = True
                 if geo.is_evaluable:
                     # Location lands in the table before any routing below.
                     update = self.state.update_last_location(cid, geo, time.monotonic())
+            row = "LOCATION" if update else None
 
             if isinstance(body, Publish):
-                sends = self._on_publish(conn, session, body, geo, update)
+                if body.qos == 2 and body.packet_id in session.incoming_qos2:
+                    row = None  # a resent QoS 2 publish is routed only once
+                else:
+                    row = "PUBLISH"
+                    if body.qos == 2:
+                        session.incoming_qos2.add(body.packet_id)
+                    if body.retain:
+                        # Retained copies never keep the geolocation block.
+                        self.state.set_retained(body.topic, body.payload, body.qos)
+                    for d in self.state.route(cid, body.topic, body.qos, geo):
+                        self._queue_publish(
+                            sends, d.client_id, body.topic, body.payload, d.qos,
+                            geo if d.include_geo else None,
+                        )
+                if body.qos == 1:
+                    reply = PubAck(body.packet_id)
+                elif body.qos == 2:
+                    reply = PubRec(body.packet_id)
             elif isinstance(body, PubAck):
                 if session.outbound.pop(body.packet_id, None) is None:
                     logger.debug("%s: PUBACK for unknown pid %d", cid, body.packet_id)
-                self._note_location_event(cid, "LOCATION", update)
             elif isinstance(body, PubRec):
                 if session.outbound.get(body.packet_id) == "await_pubrec":
                     session.outbound[body.packet_id] = "await_pubcomp"
-                sends = [(conn, encode_packet(ControlPacket(PubRel(body.packet_id))))]
-                self._note_location_event(cid, "LOCATION", update)
+                reply = PubRel(body.packet_id)
             elif isinstance(body, PubRel):
                 session.incoming_qos2.discard(body.packet_id)
-                sends = [(conn, encode_packet(ControlPacket(PubComp(body.packet_id))))]
-                self._note_location_event(cid, "LOCATION", update)
+                reply = PubComp(body.packet_id)
             elif isinstance(body, PubComp):
                 session.outbound.pop(body.packet_id, None)
-                self._note_location_event(cid, "LOCATION", update)
             elif isinstance(body, Subscribe):
-                sends = self._on_subscribe(conn, session, body, update)
+                codes = self.state.subscribe(cid, body.filters)
+                reply = Suback(body.packet_id, tuple(codes))
+                granted = tuple(
+                    f for f, code in zip(body.filters, codes) if code != SUBACK_FAILURE
+                )
+                retained = self.state.retained_for(granted, cid)
             elif isinstance(body, Unsubscribe):
                 self.state.unsubscribe(cid, body.topics)
-                sends = [(conn, encode_packet(ControlPacket(Unsuback(body.packet_id))))]
-                self._note_location_event(cid, "LOCATION", update)
+                reply = Unsuback(body.packet_id)
             elif isinstance(body, Pingreq):
-                sends = [(conn, encode_packet(ControlPacket(Pingresp())))]
-                self._note_location_event(cid, "LOCATION", update)
+                reply = Pingresp()
             elif isinstance(body, Disconnect):
                 conn.will = None  # graceful close discards the will
-                disconnect = True  # final location lands in the DISCONNECT row
+                return False  # final location lands in the DISCONNECT row
             else:
                 logger.warning("%s: unexpected %s from client", cid, packet.packet_type.name)
-                disconnect = True
+                return False
 
-        for target, data in sends:
-            self._safe_send(target, data)
-        if disconnect:
-            self._teardown(conn, graceful=isinstance(body, Disconnect))
-            return False
+            # A publish's ack follows its deliveries; a SUBACK precedes the
+            # retained messages it grants.
+            if reply is not None:
+                sends.append((conn, encode_packet(ControlPacket(reply))))
+            for topic, payload, qos in retained:
+                self._queue_publish(sends, cid, topic, payload, qos, retain=True)
+            if row is not None:
+                self._events.emit(
+                    cid,
+                    row,
+                    geo=update.record.location if update else None,
+                    distance_m=update.segment_m if update else None,
+                    speed_kmh=update.speed_kmh if update else None,
+                )
+
+        self._send_all(sends)
         return True
 
-    def _note_location_event(self, cid: str, kind: str, update: LocationUpdate | None) -> None:
-        if update is not None:
-            self._events.emit(
-                cid,
-                kind,
-                geo=update.record.location,
-                distance_m=update.segment_m,
-                speed_kmh=update.speed_kmh,
-            )
-
-    def _on_publish(
+    def _queue_publish(
         self,
-        conn: _Conn,
-        session: SessionState,
-        body: Publish,
-        geo: GeoLocation | None,
-        update: LocationUpdate | None,
-    ) -> list[tuple[_Conn, bytes]]:
-        cid = session.client_id
-        sends: list[tuple[_Conn, bytes]] = []
-        duplicate_qos2 = False
-        if body.qos == 2:
-            assert body.packet_id is not None
-            duplicate_qos2 = body.packet_id in session.incoming_qos2
-            session.incoming_qos2.add(body.packet_id)
-
-        if not duplicate_qos2:
-            self._events.emit(
-                cid,
-                "PUBLISH",
-                geo=update.record.location if update else None,
-                distance_m=update.segment_m if update else None,
-                speed_kmh=update.speed_kmh if update else None,
-            )
-            if body.retain:
-                # Retained copies never keep the geolocation block.
-                self.state.set_retained(body.topic, body.payload, body.qos)
-            deliveries = self.state.route(cid, body.topic, body.qos, geo)
-            sends = self._prepare_sends(deliveries, body.topic, body.payload, geo)
-
-        if body.qos == 1:
-            assert body.packet_id is not None
-            sends.append((conn, encode_packet(ControlPacket(PubAck(body.packet_id)))))
-        elif body.qos == 2:
-            assert body.packet_id is not None
-            sends.append((conn, encode_packet(ControlPacket(PubRec(body.packet_id)))))
-        return sends
-
-    def _on_subscribe(
-        self,
-        conn: _Conn,
-        session: SessionState,
-        body: Subscribe,
-        update: LocationUpdate | None,
-    ) -> list[tuple[_Conn, bytes]]:
-        cid = session.client_id
-        codes = self.state.subscribe(cid, body.filters)
-        sends = [(conn, encode_packet(ControlPacket(Suback(body.packet_id, tuple(codes)))))]
-        granted = tuple(
-            f for f, code in zip(body.filters, codes) if code != SUBACK_FAILURE
-        )
-        for topic, payload, qos in self.state.retained_for(granted, cid):
-            pid = None
-            if qos > 0:
-                pid = self.state.alloc_pid(cid)
-                session.outbound[pid] = "await_puback" if qos == 1 else "await_pubrec"
-            pkt = ControlPacket(Publish(topic, payload, qos, retain=True, packet_id=pid))
-            sends.append((conn, encode_packet(pkt)))
-        self._note_location_event(cid, "LOCATION", update)
-        return sends
-
-    def _prepare_sends(
-        self,
-        deliveries: list[Delivery],
+        sends: list[tuple[_Conn, bytes]],
+        client_id: str,
         topic: str,
         payload: bytes,
-        geo: GeoLocation | None,
-    ) -> list[tuple[_Conn, bytes]]:
-        """Encode outgoing publishes (lock held: pids and flow state)."""
-        sends = []
-        for d in deliveries:
-            target = self._conns.get(d.client_id)
-            if target is None:
-                continue
-            pid = None
-            if d.qos > 0:
-                pid = self.state.alloc_pid(d.client_id)
-                stage = "await_puback" if d.qos == 1 else "await_pubrec"
-                self.state.sessions[d.client_id].outbound[pid] = stage
-            pkt = ControlPacket(
-                Publish(topic, payload, d.qos, packet_id=pid),
-                geo if d.include_geo else None,
-            )
-            sends.append((target, encode_packet(pkt)))
-        return sends
+        qos: int,
+        geo: GeoLocation | None = None,
+        retain: bool = False,
+    ) -> None:
+        """Encode a publish to a connected client and open its QoS flow
+        (lock held). A client out of packet ids misses this copy."""
+        target = self._conns.get(client_id)
+        if target is None:
+            return
+        pid = None
+        if qos > 0:
+            try:
+                pid = self.state.alloc_pid(client_id)
+            except MQTTgError:
+                logger.warning("%s: no free packet id, dropping a copy of %r", client_id, topic)
+                return
+            stage = "await_puback" if qos == 1 else "await_pubrec"
+            self.state.sessions[client_id].outbound[pid] = stage
+        pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
+        sends.append((target, encode_packet(pkt)))
 
     @staticmethod
-    def _safe_send(conn: _Conn, data: bytes) -> None:
-        try:
-            conn.send(data)
-        except OSError:
-            pass  # the receiver's own thread will tear the session down
+    def _send_all(sends: list[tuple[_Conn, bytes]]) -> None:
+        for target, data in sends:
+            try:
+                target.send(data)
+            except OSError:
+                pass  # the receiver's own thread will tear the session down
 
     # -- admin socket -----------------------------------------------------------
 

@@ -15,9 +15,10 @@ import queue
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .codec import (
     Connack,
@@ -195,27 +196,24 @@ class MqttgClient:
         if qos == 0:
             self._send(ControlPacket(Publish(topic, payload, 0, retain), self._geo()))
             return
-        pid = self._alloc_pid()
-        flow = _Flow("await_puback" if qos == 1 else "await_pubrec")
-        with self._state_lock:
-            self._flows[pid] = flow
-
-        def make_publish(dup: bool) -> ControlPacket:
-            return ControlPacket(Publish(topic, payload, qos, retain, dup, pid), self._geo())
-
-        def make_pubrel(dup: bool) -> ControlPacket:
-            return ControlPacket(PubRel(pid), self._geo())
-
-        try:
-            self._send_with_retries(make_publish, flow, f"QoS {qos} publish to {topic!r}")
+        with self._acked_flow("await_puback" if qos == 1 else "await_pubrec") as (pid, flow):
+            self._send_with_retries(
+                lambda dup: ControlPacket(
+                    Publish(topic, payload, qos, retain, dup, pid), self._geo()
+                ),
+                flow,
+                f"QoS {qos} publish to {topic!r}",
+            )
             if qos == 2:
+                # The pid stays reserved from PUBLISH through PUBCOMP.
                 relflow = _Flow("await_pubcomp")
                 with self._state_lock:
                     self._flows[pid] = relflow
-                self._send_with_retries(make_pubrel, relflow, f"QoS 2 release to {topic!r}")
-        finally:
-            with self._state_lock:
-                self._flows.pop(pid, None)
+                self._send_with_retries(
+                    lambda dup: ControlPacket(PubRel(pid), self._geo()),
+                    relflow,
+                    f"QoS 2 release to {topic!r}",
+                )
 
     def subscribe(
         self, topic: str, qos: int = 0, constraint: GeoConstraint | None = None
@@ -224,40 +222,28 @@ class MqttgClient:
         if not topic_filter_valid(topic):
             raise SubscriptionRefused(f"invalid topic filter {topic!r}")
         self._require_connected()
-        pid = self._alloc_pid()
-        flow = _Flow("await_suback")
-        with self._state_lock:
-            self._flows[pid] = flow
-
-        def make(dup: bool) -> ControlPacket:
-            return ControlPacket(Subscribe(pid, (TopicFilter(topic, qos, constraint),)), self._geo())
-
-        try:
-            self._send_with_retries(make, flow, f"subscribe {topic!r}")
-            codes = flow.payload
-            assert isinstance(codes, tuple)
-            if codes[0] == 0x80:
-                raise SubscriptionRefused(f"broker refused filter {topic!r}")
-            return codes[0]
-        finally:
-            with self._state_lock:
-                self._flows.pop(pid, None)
+        with self._acked_flow("await_suback") as (pid, flow):
+            self._send_with_retries(
+                lambda dup: ControlPacket(
+                    Subscribe(pid, (TopicFilter(topic, qos, constraint),)), self._geo()
+                ),
+                flow,
+                f"subscribe {topic!r}",
+            )
+        codes = flow.payload
+        assert isinstance(codes, tuple)
+        if codes[0] == 0x80:
+            raise SubscriptionRefused(f"broker refused filter {topic!r}")
+        return codes[0]
 
     def unsubscribe(self, topic: str) -> None:
         self._require_connected()
-        pid = self._alloc_pid()
-        flow = _Flow("await_unsuback")
-        with self._state_lock:
-            self._flows[pid] = flow
-
-        def make(dup: bool) -> ControlPacket:
-            return ControlPacket(Unsubscribe(pid, (topic,)), self._geo())
-
-        try:
-            self._send_with_retries(make, flow, f"unsubscribe {topic!r}")
-        finally:
-            with self._state_lock:
-                self._flows.pop(pid, None)
+        with self._acked_flow("await_unsuback") as (pid, flow):
+            self._send_with_retries(
+                lambda dup: ControlPacket(Unsubscribe(pid, (topic,)), self._geo()),
+                flow,
+                f"unsubscribe {topic!r}",
+            )
 
     def ping(self) -> None:
         """Send a keep-alive PINGREQ now (a location heartbeat under AttachAll)."""
@@ -283,13 +269,27 @@ class MqttgClient:
         if not self._connected or self._sock is None:
             raise NotConnected("client is not connected")
 
-    def _alloc_pid(self) -> int:
+    @contextmanager
+    def _acked_flow(self, stage: str) -> Iterator[tuple[int, _Flow]]:
+        """Reserve a packet id for one acknowledged exchange and register
+        its flow; the id is freed when the exchange ends, however it ends."""
+        flow = _Flow(stage)
         with self._state_lock:
-            for _ in range(65535):
-                pid = self._next_pid
-                self._next_pid = pid % 65535 + 1
-                if pid not in self._flows:
-                    return pid
+            pid = self._alloc_pid()
+            self._flows[pid] = flow
+        try:
+            yield pid, flow
+        finally:
+            with self._state_lock:
+                self._flows.pop(pid, None)
+
+    def _alloc_pid(self) -> int:
+        """Next packet id not in flight (caller holds ``_state_lock``)."""
+        for _ in range(65535):
+            pid = self._next_pid
+            self._next_pid = pid % 65535 + 1
+            if pid not in self._flows:
+                return pid
         raise DeliveryTimeout("no free packet identifiers")
 
     def _send(self, packet: ControlPacket) -> None:

@@ -2,10 +2,12 @@
 
 import csv
 import socket
+import threading
 import time
 
 import pytest
 
+from mqttg import broker as broker_module
 from mqttg.broker import admin_request
 from mqttg.client import ClientConfig, GeoMode, MqttgClient
 from mqttg.codec import (
@@ -14,6 +16,7 @@ from mqttg.codec import (
     ControlPacket,
     GeoConstraint,
     GeoLocation,
+    Pingreq,
     PubAck,
     Publish,
     Suback,
@@ -283,6 +286,65 @@ class TestSessionRules:
         finally:
             second.disconnect()
             first.disconnect()
+
+    def test_taken_over_connection_leaves_successor_untouched(self, broker, monkeypatch):
+        # The old connection's last packet is held between decode and
+        # dispatch until a new connection has taken over its client id.
+        last = encode_packet(ControlPacket(Pingreq(), geo(45.0, 45.0)))
+        held, release = threading.Event(), threading.Event()
+        holder = []
+        decode = broker_module.decode_packet
+
+        def held_decode(frame):
+            if frame == last:
+                holder.append(threading.current_thread())
+                held.set()
+                release.wait(5.0)
+            return decode(frame)
+
+        monkeypatch.setattr(broker_module, "decode_packet", held_decode)
+        old = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        new = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            old.sendall(encode_packet(ControlPacket(Connect(client_id="dup", keep_alive=5))))
+            assert decode_packet(read_frame(old)).body.return_code == 0
+            old.sendall(last)
+            assert held.wait(3.0)
+            new.sendall(encode_packet(ControlPacket(Connect(client_id="dup", keep_alive=5))))
+            assert decode_packet(read_frame(new)).body.return_code == 0
+            release.set()
+            holder[0].join(3.0)
+            assert not holder[0].is_alive()
+            assert "dup" not in broker.state.locations
+            assert not broker.state.sessions["dup"].geo_capable
+            rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
+            assert [r for r in rows if r[1] == "dup" and r[2] == "LOCATION"] == []
+        finally:
+            release.set()
+            old.close()
+            new.close()
+
+    def test_subscriber_out_of_packet_ids_misses_only_its_copy(self, broker):
+        full = mk_client(broker, "full")
+        other = mk_client(broker, "other")
+        pub = mk_client(broker, "pub")
+        try:
+            full.subscribe("t", qos=1)
+            other.subscribe("t", qos=1)
+            with broker._lock:
+                broker.state.sessions["full"].outbound = dict.fromkeys(
+                    range(1, 65536), "await_puback"
+                )
+            pub.publish("t", b"x", qos=1)  # returns once the PUBACK arrives
+            assert other.receive(timeout=3.0).payload == b"x"
+            assert full.receive(timeout=0.4) is None
+            assert pub.connected and full.connected
+            pub.publish("t", b"y", qos=1)  # the publisher's session still works
+            assert other.receive(timeout=3.0).payload == b"y"
+        finally:
+            pub.disconnect()
+            other.disconnect()
+            full.disconnect()
 
     def test_will_published_on_abnormal_disconnect(self, broker):
         sub = mk_client(broker, "sub")
