@@ -17,6 +17,11 @@ Delivery rules for a publish on topic T, evaluated per subscriber:
 Subscribers that are geo-capable or matched through a geo-constrained
 filter receive the geolocation block intact; everyone else gets a plain
 PUBLISH with the block stripped. Outgoing QoS is min(publish, granted).
+
+Routing is indexed, so a publish costs what matches it, not the size of
+the table: a topic tree (topics.TopicTree) finds the matching filters by
+walking the topic's levels, and the fence registry is keyed by owner, so
+only a candidate subscriber's own fences are read.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .geo import (
     resolve_polygon,
 )
 from .netio import read_frame
-from .topics import topic_filter_valid, topic_matches
+from .topics import TopicTree, topic_filter_valid, topic_matches
 
 logger = logging.getLogger("mqttg.broker")
 
@@ -80,7 +85,7 @@ CONNACK_ID_REJECTED = 0x02
 SUBACK_FAILURE = 0x80
 
 
-@dataclass
+@dataclass(slots=True)
 class Subscription:
     topic: str
     qos: int
@@ -113,7 +118,7 @@ class Delivery:
     include_geo: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
     client_id: str
     subscriptions: dict[str, Subscription] = field(default_factory=dict)
@@ -128,21 +133,28 @@ class BrokerState:
 
     def __init__(self) -> None:
         self.sessions: dict[str, SessionState] = {}
+        # filter -> {client_id: Subscription}; the same objects as in
+        # session.subscriptions, kept in step by every method that changes them
+        self.subscriptions = TopicTree()
         self.locations: dict[str, LocationRecord] = {}
-        self.fences: dict[tuple[str, str], list[GeofencePolygon]] = {}
+        self.fences: dict[str, dict[str, list[GeofencePolygon]]] = {}  # owner -> filter -> fences
         self.retained: dict[str, tuple[bytes, int]] = {}
 
     # -- session lifecycle --------------------------------------------------
 
     def open_session(self, client_id: str) -> SessionState:
-        """Fresh clean session; restarts the client's trip accumulators."""
-        session = SessionState(client_id)
-        self.sessions[client_id] = session
+        """Fresh clean session, replacing any under the same id; restarts
+        the client's trip accumulators."""
+        self.close_session(client_id)
+        session = self.sessions[client_id] = SessionState(client_id)
         self.locations.pop(client_id, None)
         return session
 
     def close_session(self, client_id: str) -> None:
-        self.sessions.pop(client_id, None)
+        session = self.sessions.pop(client_id, None)
+        if session is not None:
+            for topic in session.subscriptions:
+                self.subscriptions.remove(topic, client_id)
 
     # -- location table -----------------------------------------------------
 
@@ -182,25 +194,33 @@ class BrokerState:
             if not topic_filter_valid(f.topic) or f.qos not in (0, 1, 2):
                 codes.append(SUBACK_FAILURE)
                 continue
-            session.subscriptions[f.topic] = Subscription(f.topic, f.qos, f.constraint)
+            sub = session.subscriptions[f.topic] = Subscription(f.topic, f.qos, f.constraint)
+            self.subscriptions.add(f.topic, client_id, sub)
             codes.append(f.qos)
         return codes
 
     def unsubscribe(self, client_id: str, topics: tuple[str, ...]) -> None:
         session = self.sessions[client_id]
         for topic in topics:
-            session.subscriptions.pop(topic, None)
-            self.fences.pop((client_id, topic), None)
+            if session.subscriptions.pop(topic, None) is not None:
+                self.subscriptions.remove(topic, client_id)
+            self.clear_fence(client_id, topic)
 
     # -- geofence registry --------------------------------------------------
 
     def add_fence(self, owner: str, topic: str, fence: GeofencePolygon) -> None:
         if not topic_filter_valid(topic):
             raise InvalidPolygon(f"invalid fence topic filter {topic!r}")
-        self.fences.setdefault((owner, topic), []).append(fence)
+        self.fences.setdefault(owner, {}).setdefault(topic, []).append(fence)
 
     def clear_fence(self, owner: str, topic: str) -> int:
-        return len(self.fences.pop((owner, topic), []))
+        owned = self.fences.get(owner)
+        if owned is None or topic not in owned:
+            return 0
+        removed = len(owned.pop(topic))
+        if not owned:
+            del self.fences[owner]
+        return removed
 
     # -- retained messages ----------------------------------------------------
 
@@ -214,6 +234,8 @@ class BrokerState:
 
     def alloc_pid(self, client_id: str) -> int:
         session = self.sessions[client_id]
+        if len(session.outbound) >= 65535:
+            raise MQTTgError("no free packet identifiers")
         for _ in range(65535):
             pid = session.next_pid
             session.next_pid = pid % 65535 + 1
@@ -231,21 +253,21 @@ class BrokerState:
         geo: GeoLocation | None,
     ) -> list[Delivery]:
         """Delivery decisions for one publish; see the module docstring."""
+        passing: dict[str, list[Subscription]] = {}
+        for subs in self.subscriptions.match(topic):
+            for client_id, sub in subs.items():
+                if self._constraint_passes(sub.constraint, geo):
+                    passing.setdefault(client_id, []).append(sub)
         deliveries = []
-        for session in self.sessions.values():
-            matching = [
-                s for s in session.subscriptions.values() if topic_matches(s.topic, topic)
-            ]
-            passing = [s for s in matching if self._constraint_passes(s.constraint, geo)]
-            if not passing:
+        for client_id, subs in passing.items():
+            if not self._fences_pass(client_id, topic):
                 continue
-            if not self._fences_pass(session.client_id, topic):
-                continue
-            out_qos = min(qos, max(s.qos for s in passing))
+            out_qos = min(qos, max(s.qos for s in subs))
             include_geo = geo is not None and (
-                session.geo_capable or any(s.constraint is not None for s in passing)
+                self.sessions[client_id].geo_capable
+                or any(s.constraint is not None for s in subs)
             )
-            deliveries.append(Delivery(session.client_id, out_qos, include_geo))
+            deliveries.append(Delivery(client_id, out_qos, include_geo))
         return deliveries
 
     @staticmethod
@@ -264,8 +286,8 @@ class BrokerState:
     def _fences_pass(self, client_id: str, topic: str) -> bool:
         fence_lists = [
             fences
-            for (owner, fence_topic), fences in self.fences.items()
-            if owner == client_id and topic_matches(fence_topic, topic)
+            for fence_topic, fences in self.fences.get(client_id, {}).items()
+            if topic_matches(fence_topic, topic)
         ]
         if not fence_lists:
             return True

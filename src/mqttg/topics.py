@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 
 def topic_name_valid(topic: str) -> bool:
     """A publishable topic: non-empty, no wildcards, no NUL, fits a string."""
@@ -48,3 +50,85 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
         if flevel != "+" and flevel != topic_levels[i]:
             return False
     return len(filter_levels) == len(topic_levels)
+
+
+class _Node:
+    """One filter level: children keyed by the next level ('+' and '#'
+    included) and, where a filter ends, its subscribers."""
+
+    __slots__ = ("children", "subs")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _Node] = {}
+        self.subs: dict[str, Any] | None = None
+
+
+class TopicTree:
+    """Subscription index: filter -> {client_id: value}, matched by walking
+    a topic's levels, so a lookup costs the levels and the filters that
+    share them, not the number of filters stored (Mosquitto's subscription
+    tree, EMQX's topic trie). Matches exactly what topic_matches matches."""
+
+    def __init__(self) -> None:
+        self.root = _Node()
+
+    def add(self, topic_filter: str, client_id: str, value: Any) -> None:
+        """Store value for (filter, client), replacing any previous one."""
+        node = self.root
+        for level in topic_filter.split("/"):
+            child = node.children.get(level)
+            if child is None:
+                child = node.children[level] = _Node()
+            node = child
+        if node.subs is None:
+            node.subs = {}
+        node.subs[client_id] = value
+
+    def remove(self, topic_filter: str, client_id: str) -> None:
+        """Drop (filter, client) and prune the nodes it leaves empty."""
+        levels = topic_filter.split("/")
+        path = [self.root]
+        for level in levels:
+            node = path[-1].children.get(level)
+            if node is None:
+                return
+            path.append(node)
+        leaf = path[-1]
+        if leaf.subs is None or leaf.subs.pop(client_id, None) is None:
+            return
+        if not leaf.subs:
+            leaf.subs = None
+        for depth in range(len(levels), 0, -1):
+            node = path[depth]
+            if node.subs is not None or node.children:
+                break
+            del path[depth - 1].children[levels[depth - 1]]
+
+    def match(self, topic: str) -> list[dict[str, Any]]:
+        """The subscriber maps of every stored filter that matches topic, a
+        topic name (no wildcards); each filter appears once."""
+        levels = topic.split("/")
+        out: list[dict[str, Any]] = []
+        # Filters starting with a wildcard never match '$' topics.
+        self._walk(self.root, levels, 0, out, levels[0].startswith("$"))
+        return out
+
+    def _walk(self, node: _Node, levels: list[str], i: int, out: list, dollar: bool) -> None:
+        children = node.children
+        if i == len(levels):
+            if node.subs is not None:
+                out.append(node.subs)
+            multi = children.get("#")  # 'a/#' also matches 'a'
+            if multi is not None and multi.subs is not None:
+                out.append(multi.subs)
+            return
+        if not dollar:
+            multi = children.get("#")
+            if multi is not None and multi.subs is not None:
+                out.append(multi.subs)
+            single = children.get("+")
+            if single is not None:
+                self._walk(single, levels, i + 1, out, False)
+        exact = children.get(levels[i])
+        if exact is not None:
+            self._walk(exact, levels, i + 1, out, False)

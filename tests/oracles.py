@@ -113,7 +113,22 @@ class RoutingOracle:
     def unsubscribe(self, client: str, topic: str) -> None:
         subs = self.subscriptions.get(client, [])
         subs[:] = [s for s in subs if s[0] != topic]
-        self.fences = [f for f in self.fences if not (f[0] == client and f[1] == topic)]
+        self.clear_fence(client, topic)
+
+    def reopen(self, client: str) -> None:
+        """A fresh clean session under the id: no filters, no location,
+        not geo-capable. Fences are broker configuration and stay."""
+        self.subscriptions[client] = []
+        self.locations.pop(client, None)
+        self.geo_capable.discard(client)
+
+    def close(self, client: str) -> None:
+        """The session ends; its last location stays known (fences may be
+        anchored on it) until the id opens a session again."""
+        self.subscriptions.pop(client, None)
+
+    def clear_fence(self, owner: str, topic: str) -> None:
+        self.fences = [f for f in self.fences if not (f[0] == owner and f[1] == topic)]
 
     def set_location(self, client: str, lat: float, lon: float) -> None:
         self.locations[client] = (lat, lon)

@@ -2,7 +2,10 @@
 
 One scenario builds a BrokerState and a RoutingOracle mirror from the
 same random choices (never by reading one from the other), then replays
-up to 50 publishes through both and compares delivery sets.
+up to 50 publishes through both and compares delivery sets. A large
+scenario does the same with hundreds of sessions on overlapping wildcard
+filters and '$' topics, while subscribes, unsubscribes, fence changes,
+session closes and re-opens interleave with the publishes.
 """
 
 from __future__ import annotations
@@ -148,4 +151,154 @@ def run_scenario(rng: Random, force_no_geo_publishes: bool = False) -> int:
                 ]
                 assert plain, f"{client} got a geo-less publish without a plain filter"
         checked += 1
+    return checked
+
+
+_WORDS = ("a", "b", "c", "7", "")
+_DOLLAR_WORDS = ("$SYS", "$app")
+
+
+def _large_topic(rng: Random) -> str:
+    first = rng.choice(_DOLLAR_WORDS if rng.random() < 0.15 else _WORDS[:-1])
+    return "/".join([first] + [rng.choice(_WORDS) for _ in range(rng.randint(0, 3))])
+
+
+def _large_filter(rng: Random) -> str:
+    levels = ["+" if rng.random() < 0.3 else level for level in _large_topic(rng).split("/")]
+    if rng.random() < 0.3:
+        levels[rng.randrange(len(levels)):] = ["#"]
+    return "/".join(levels)
+
+
+def _large_constraint(rng: Random):
+    """A (GeoConstraint, oracle tuple) pair, or (None, None) for a plain filter."""
+    if rng.random() >= 0.4:
+        return None, None
+    kind = rng.choice((ConstraintKind.INSIDE_RADIUS, ConstraintKind.OUTSIDE_RADIUS))
+    clat, clon = _point(rng)
+    constraint = GeoConstraint(kind, rng.uniform(500_000.0, 6_000_000.0), clat, clon)
+    name = "inside" if kind is ConstraintKind.INSIDE_RADIUS else "outside"
+    return constraint, (name, constraint.radius, clat, clon)
+
+
+def run_large_scenario(rng: Random) -> int:
+    """Run one large scenario of 300 sessions and 60 rounds of churn and
+    publishes; returns the number of publishes checked.
+
+    Ends by closing every session and checking that the subscription
+    index is left empty.
+    """
+    sessions, rounds = 300, 60
+    state = BrokerState()
+    oracle = RoutingOracle()
+    clients = [f"s{i:03d}" for i in range(sessions)]
+    live: set[str] = set()
+    now = 0.0
+
+    def locate(client: str, lat: float, lon: float) -> None:
+        nonlocal now
+        now += 1.0
+        state.sessions[client].geo_capable = True
+        state.update_last_location(client, GeoLocation(1, lat, lon, 0.0), now)
+
+    def open_session(client: str) -> None:
+        state.open_session(client)
+        oracle.reopen(client)
+        live.add(client)
+        if rng.random() < 0.7:
+            lat, lon = _point(rng)
+            locate(client, lat, lon)
+            oracle.geo_capable.add(client)
+            oracle.set_location(client, lat, lon)
+
+    def own_or_new(client: str, share: float) -> str:
+        """One of the client's filters with probability share, else a new one."""
+        own = [s[0] for s in oracle.subscriptions.get(client, [])]
+        return rng.choice(own) if own and rng.random() < share else _large_filter(rng)
+
+    def subscribe(client: str) -> None:
+        topic_filter = own_or_new(client, 0.2)  # sometimes a re-subscribe
+        qos = rng.randint(0, 2)
+        constraint, oracle_constraint = _large_constraint(rng)
+        state.subscribe(client, (TopicFilter(topic_filter, qos, constraint),))
+        oracle.subscribe(client, topic_filter, qos, oracle_constraint)
+
+    def add_fence(owner: str) -> None:
+        topic_filter = own_or_new(owner, 0.8)
+        if rng.random() < 0.7:
+            base = oracle.locations.get(owner) or _point(rng)
+            center = (base[0] + rng.uniform(-3, 3), base[1] + rng.uniform(-3, 3))
+            vertices = _convex_vertices(rng, center, rng.uniform(1.0, 8.0))
+            fence = GeofencePolygon(
+                FenceMode.STATIC, vertices=tuple(GeoPoint(la, lo) for la, lo in vertices)
+            )
+            oracle.add_fence(owner, topic_filter, {"mode": "static", "vertices": vertices})
+        else:
+            anchor = rng.choice(clients)
+            offsets = _convex_vertices(rng, (0.0, 0.0), rng.uniform(5.0, 30.0))
+            fence = GeofencePolygon(
+                FenceMode.DYNAMIC, vertex_offsets=tuple(offsets), anchor_client=anchor
+            )
+            oracle.add_fence(
+                owner, topic_filter, {"mode": "dynamic", "anchor": anchor, "offsets": offsets}
+            )
+        state.add_fence(owner, topic_filter, fence)
+
+    for client in clients:
+        open_session(client)
+        for _ in range(rng.randint(1, 4)):
+            subscribe(client)
+    for _ in range(sessions // 10):
+        add_fence(rng.choice(clients))
+
+    checked = 0
+    for _ in range(rounds):
+        for _ in range(rng.randint(1, 8)):
+            client = rng.choice(clients)
+            op = rng.random()
+            if op < 0.3 and client in live:
+                topic_filter = own_or_new(client, 0.8)
+                state.unsubscribe(client, (topic_filter,))
+                oracle.unsubscribe(client, topic_filter)
+            elif op < 0.5 and client in live:
+                subscribe(client)
+            elif op < 0.65:
+                open_session(client)  # a takeover when the id is live
+                for _ in range(rng.randint(0, 3)):
+                    subscribe(client)
+            elif op < 0.75:
+                state.close_session(client)
+                oracle.close(client)
+                live.discard(client)
+            elif op < 0.9:
+                add_fence(client)
+            else:
+                fenced = [(owner, tf) for owner, tf, _ in oracle.fences]
+                owner, topic_filter = rng.choice(fenced) if fenced else (client, "a")
+                state.clear_fence(owner, topic_filter)
+                oracle.clear_fence(owner, topic_filter)
+
+        for _ in range(5):
+            publisher = rng.choice(clients)
+            topic = _large_topic(rng)
+            qos = rng.randint(0, 2)
+            geo = None
+            if publisher in live and rng.random() < 0.7:
+                lat, lon = _point(rng)
+                geo = GeoLocation(1, lat, lon, 0.0)
+                locate(publisher, lat, lon)
+            # A publisher without a session stands for a will: no geolocation.
+            got = {
+                (d.client_id, d.qos, d.include_geo)
+                for d in state.route(publisher, topic, qos, geo)
+            }
+            want = oracle.publish(
+                publisher, topic, qos, None if geo is None else (1, geo.latitude, geo.longitude)
+            )
+            assert got == want, f"topic={topic} qos={qos} geo={geo}\n got={got}\nwant={want}"
+            checked += 1
+
+    for client in clients:
+        state.close_session(client)
+    assert state.subscriptions.root.children == {}
     return checked

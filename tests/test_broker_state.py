@@ -7,10 +7,10 @@ import pytest
 
 from mqttg.broker import BrokerState, Delivery, load_fence_file, parse_fence_spec
 from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
-from mqttg.errors import InvalidPolygon, RouteFormatError
+from mqttg.errors import InvalidPolygon, MQTTgError, RouteFormatError
 from mqttg.geo import FenceMode, GeofencePolygon, GeoPoint
 
-from scenario import run_scenario
+from scenario import run_large_scenario, run_scenario
 
 
 def geo(lat, lon, elev=0.0):
@@ -222,6 +222,115 @@ class TestRouting:
         assert state.retained == {}
 
 
+def square_around(lat, lon, half=1.0):
+    return GeofencePolygon(
+        FenceMode.STATIC,
+        vertices=tuple(
+            GeoPoint(lat + dlat, lon + dlon)
+            for dlat, dlon in ((half, half), (half, -half), (-half, -half), (-half, half))
+        ),
+    )
+
+
+def routed(state, topic, qos=0, geo=None):
+    return {d.client_id for d in state.route("pub", topic, qos, geo)}
+
+
+class TestSubscriptionIndex:
+    """The topic tree and the per-owner fence registry stay in step with
+    the sessions through every method that changes them."""
+
+    def test_takeover_leaves_no_old_filter_routable(self):
+        state = make_state("pub", "a", "b")
+        state.subscribe("a", (TopicFilter("t", 1), TopicFilter("x/#", 0), TopicFilter("+/y", 2)))
+        state.subscribe("b", (TopicFilter("t", 0),))
+        state.open_session("a")  # the id is taken over: a fresh, empty session
+        assert routed(state, "t") == {"b"}
+        assert routed(state, "x/y") == set()
+        state.subscribe("a", (TopicFilter("x/#", 0),))
+        assert routed(state, "x/y") == {"a"}
+
+    def test_closing_every_session_empties_the_tree(self):
+        state = make_state(*(f"c{i}" for i in range(20)))
+        filters = ("#", "a/#", "a/+", "a/b", "+/b/#", "$SYS/#", "a//b")
+        for i in range(20):
+            state.subscribe(f"c{i}", tuple(TopicFilter(f, i % 3) for f in filters[i % 4:]))
+        state.unsubscribe("c0", ("a/+",))
+        for i in range(20):
+            state.close_session(f"c{i}")
+        assert state.subscriptions.root.children == {}
+        assert state.subscriptions.root.subs is None
+        assert state.route("pub", "a/b", 0, None) == []
+
+    def test_resubscribe_replaces_qos_and_constraint_in_routing(self):
+        state = make_state("pub", "a")
+        far = GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1000.0, 40.0, 40.0)
+        state.subscribe("a", (TopicFilter("t", 2, far),))
+        assert state.route("pub", "t", 2, geo(0.0, 0.0)) == []
+        state.subscribe("a", (TopicFilter("t", 1),))
+        assert state.route("pub", "t", 2, geo(0.0, 0.0)) == [Delivery("a", 1, False)]
+
+    def test_multi_level_wildcard_matches_its_parent(self):
+        state = make_state("pub", "hash", "plus")
+        state.subscribe("hash", (TopicFilter("a/#", 0),))
+        state.subscribe("plus", (TopicFilter("a/+", 0),))
+        assert routed(state, "a") == {"hash"}
+        assert routed(state, "a/b") == {"hash", "plus"}
+
+    def test_dollar_topics_skip_root_wildcards(self):
+        state = make_state("pub", "sys", "all", "plus")
+        state.subscribe("sys", (TopicFilter("$SYS/#", 0),))
+        state.subscribe("all", (TopicFilter("#", 0),))
+        state.subscribe("plus", (TopicFilter("+/x", 0),))
+        assert routed(state, "$SYS/x") == {"sys"}
+        assert routed(state, "a/x") == {"all", "plus"}
+
+    def test_clear_fence_and_unsubscribe_drop_the_owners_fence(self):
+        state = make_state("pub", "sub", "other")
+        state.update_last_location("sub", geo(0.0, 0.0), 1.0)
+        for client in ("sub", "other"):
+            state.subscribe(client, (TopicFilter("t/#", 0),))
+        state.add_fence("sub", "t/#", square_around(10.0, 10.0))  # excludes sub
+        state.add_fence("other", "t/#", square_around(10.0, 10.0))  # no location: blocks
+        assert routed(state, "t/x") == set()
+        assert state.clear_fence("sub", "t/#") == 1
+        assert state.clear_fence("sub", "t/#") == 0
+        assert set(state.fences) == {"other"}
+        assert routed(state, "t/x") == {"sub"}
+        state.add_fence("sub", "t/#", square_around(10.0, 10.0))
+        assert routed(state, "t/x") == set()
+        state.unsubscribe("sub", ("t/#",))
+        state.subscribe("sub", (TopicFilter("t/#", 0),))
+        assert set(state.fences) == {"other"}
+        assert routed(state, "t/x") == {"sub"}
+
+
+class TestPacketIds:
+    def test_exhausted_ids_raise_without_a_walk(self):
+        class CountingDict(dict):
+            lookups = 0
+
+            def __contains__(self, key):
+                CountingDict.lookups += 1
+                return super().__contains__(key)
+
+        state = make_state("a")
+        session = state.sessions["a"]
+        session.outbound = CountingDict.fromkeys(range(1, 65536), "await_puback")
+        session.next_pid = 777
+        with pytest.raises(MQTTgError):
+            state.alloc_pid("a")
+        assert session.next_pid == 777
+        assert CountingDict.lookups == 0
+
+    def test_alloc_skips_ids_in_flight(self):
+        state = make_state("a")
+        session = state.sessions["a"]
+        session.outbound = dict.fromkeys(range(1, 65535), "await_puback")
+        assert state.alloc_pid("a") == 65535
+        assert session.next_pid == 1
+
+
 class TestFenceConfig:
     def test_parse_static_line(self):
         owner, topic, fence = parse_fence_spec(
@@ -261,7 +370,7 @@ class TestFenceConfig:
         )
         state = BrokerState()
         assert load_fence_file(str(path), state) == 2
-        assert len(state.fences) == 2
+        assert sum(len(fences) for fences in state.fences["sub"].values()) == 2
 
 
 class TestScenarioOracle:
@@ -274,3 +383,8 @@ class TestScenarioOracle:
         rng = Random(99)
         for _ in range(20):
             run_scenario(rng, force_no_geo_publishes=True)
+
+    def test_large_scenarios_with_churn_match_brute_force(self):
+        rng = Random(4242)
+        for _ in range(2):
+            assert run_large_scenario(rng) == 300
