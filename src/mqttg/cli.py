@@ -73,12 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     _client_flags(p)
     p.add_argument("-t", "--topic", action="append", required=True, help="repeatable")
     p.add_argument("--qos", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument(
+    radius = p.add_mutually_exclusive_group()
+    radius.add_argument(
         "--inside-radius",
         metavar="R,LAT,LON",
         help="only receive publishes from inside the circle (radius in meters)",
     )
-    p.add_argument(
+    radius.add_argument(
         "--outside-radius",
         metavar="R,LAT,LON",
         help="only receive publishes from outside the circle",

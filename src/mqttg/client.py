@@ -146,22 +146,22 @@ class MqttgClient:
             keep_alive=cfg.keep_alive,
             will=cfg.will,
         )
-        self._send(ControlPacket(body))
         try:
-            frame = read_frame(sock)
-        except socket.timeout:
+            self._send(ControlPacket(body))
+            try:
+                frame = read_frame(sock)
+            except socket.timeout:
+                raise ConnectTimeout("no CONNACK within the connect timeout") from None
+            if frame is None:
+                raise ConnectTimeout("connection closed before CONNACK")
+            packet = decode_packet(frame)
+            if not isinstance(packet.body, Connack):
+                raise ConnectTimeout(f"expected CONNACK, got {packet.packet_type.name}")
+            if packet.body.return_code != 0:
+                raise ConnectRefused(packet.body.return_code)
+        except BaseException:
             sock.close()
-            raise ConnectTimeout("no CONNACK within the connect timeout") from None
-        if frame is None:
-            sock.close()
-            raise ConnectTimeout("connection closed before CONNACK")
-        packet = decode_packet(frame)
-        if not isinstance(packet.body, Connack):
-            sock.close()
-            raise ConnectTimeout(f"expected CONNACK, got {packet.packet_type.name}")
-        if packet.body.return_code != 0:
-            sock.close()
-            raise ConnectRefused(packet.body.return_code)
+            raise
         sock.settimeout(None)
         self._connected = True
         threading.Thread(target=self._reader_loop, daemon=True, name="mqttg-reader").start()

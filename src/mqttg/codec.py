@@ -7,6 +7,12 @@ and the payload. On the other geo-capable types the block is signalled by
 fixed-header flag bit 2 (mask 0x04). Packets without geolocation encode
 byte-identically to plain MQTT 3.1.1.
 
+``_PACKETS`` states each non-PUBLISH type's wire facts once: its body
+class, mandated flag nibble, whether it may carry the block, whether a
+packet identifier leads its variable header, and the codec for the rest
+of its body. The block follows the packet identifier, or opens the body
+when the type has none.
+
 MQTT's own integers are big-endian; the geolocation fields (and the
 radius/latitude/longitude of geo-constrained subscription filters) are
 little-endian IEEE-754.
@@ -18,7 +24,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import (
     EncodeError,
@@ -27,13 +33,19 @@ from .errors import (
     ProtocolViolation,
     ValueTooLarge,
 )
+from .geo import coordinates_valid
 from .topics import topic_filter_valid, topic_name_valid
 
 MAX_REMAINING_LENGTH = 268_435_455
-GEO_BLOCK_SIZE = 21
 GEO_FLAG = 0x04
 GEO_FILTER_FLAG = 0x04  # bit 2 of a SUBSCRIBE entry's QoS byte
-GEO_FILTER_EXTRA = 21  # kind byte + f32 radius + f64 lat + f64 lon
+
+_U16 = struct.Struct(">H")
+#: Geolocation block: version, latitude, longitude, elevation.
+_GEO_BLOCK = struct.Struct("<Bddf")
+GEO_BLOCK_SIZE = _GEO_BLOCK.size
+#: Extension of a geo-constrained SUBSCRIBE entry: kind, radius, latitude, longitude.
+_RADIUS_ENTRY = struct.Struct("<Bfdd")
 
 
 class PacketType(IntEnum):
@@ -54,39 +66,6 @@ class PacketType(IntEnum):
     PUBLISHG = 15
 
 
-#: Types that may carry the 21-byte geolocation block.
-GEO_CAPABLE_TYPES = frozenset(
-    {
-        PacketType.PUBLISHG,
-        PacketType.PUBACK,
-        PacketType.PUBREC,
-        PacketType.PUBREL,
-        PacketType.PUBCOMP,
-        PacketType.SUBSCRIBE,
-        PacketType.UNSUBSCRIBE,
-        PacketType.PINGREQ,
-        PacketType.DISCONNECT,
-    }
-)
-
-# Mandated fixed-header flag nibbles (before the geolocation bit).
-_BASE_FLAGS = {
-    PacketType.CONNECT: 0x0,
-    PacketType.CONNACK: 0x0,
-    PacketType.PUBACK: 0x0,
-    PacketType.PUBREC: 0x0,
-    PacketType.PUBREL: 0x2,
-    PacketType.PUBCOMP: 0x0,
-    PacketType.SUBSCRIBE: 0x2,
-    PacketType.SUBACK: 0x0,
-    PacketType.UNSUBSCRIBE: 0x2,
-    PacketType.UNSUBACK: 0x0,
-    PacketType.PINGREQ: 0x0,
-    PacketType.PINGRESP: 0x0,
-    PacketType.DISCONNECT: 0x0,
-}
-
-
 class ConstraintKind(IntEnum):
     INSIDE_RADIUS = 0x00
     OUTSIDE_RADIUS = 0x01
@@ -94,15 +73,6 @@ class ConstraintKind(IntEnum):
 
 def _f32(value: float) -> float:
     return struct.unpack("<f", struct.pack("<f", value))[0]
-
-
-def coordinates_valid(latitude: float, longitude: float) -> bool:
-    return (
-        math.isfinite(latitude)
-        and math.isfinite(longitude)
-        and -90.0 <= latitude <= 90.0
-        and -180.0 <= longitude <= 180.0
-    )
 
 
 @dataclass(frozen=True)
@@ -260,22 +230,6 @@ Body = Union[
     Disconnect,
 ]
 
-_BODY_TYPES = {
-    Connect: PacketType.CONNECT,
-    Connack: PacketType.CONNACK,
-    PubAck: PacketType.PUBACK,
-    PubRec: PacketType.PUBREC,
-    PubRel: PacketType.PUBREL,
-    PubComp: PacketType.PUBCOMP,
-    Subscribe: PacketType.SUBSCRIBE,
-    Suback: PacketType.SUBACK,
-    Unsubscribe: PacketType.UNSUBSCRIBE,
-    Unsuback: PacketType.UNSUBACK,
-    Pingreq: PacketType.PINGREQ,
-    Pingresp: PacketType.PINGRESP,
-    Disconnect: PacketType.DISCONNECT,
-}
-
 
 @dataclass(frozen=True)
 class FixedHeader:
@@ -300,7 +254,7 @@ class ControlPacket:
     def packet_type(self) -> PacketType:
         if isinstance(self.body, Publish):
             return PacketType.PUBLISHG if self.geolocation is not None else PacketType.PUBLISH
-        return _BODY_TYPES[type(self.body)]
+        return _BY_BODY[type(self.body)].ptype
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +277,7 @@ def encode_geolocation(geo: GeoLocation) -> bytes:
         raise EncodeError(
             f"coordinates out of range: lat={geo.latitude} lon={geo.longitude}"
         )
-    return struct.pack("<Bddf", geo.version, geo.latitude, geo.longitude, geo.elevation)
+    return _GEO_BLOCK.pack(geo.version, geo.latitude, geo.longitude, geo.elevation)
 
 
 def decode_geolocation(data: bytes) -> GeoLocation:
@@ -332,8 +286,7 @@ def decode_geolocation(data: bytes) -> GeoLocation:
         raise MalformedPacket(
             f"geolocation block truncated: {len(data)} of {GEO_BLOCK_SIZE} bytes"
         )
-    version = data[0]
-    latitude, longitude, elevation = struct.unpack_from("<ddf", data, 1)
+    version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data)
     if version == 1:
         if not coordinates_valid(latitude, longitude):
             raise InvalidCoordinates(
@@ -397,11 +350,14 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return self.unpack(_U16)[0]
 
     def string(self) -> str:
         raw = self.take(self.u16())
@@ -430,88 +386,46 @@ def _string(text: str) -> bytes:
         raise EncodeError("string longer than 65535 bytes")
     if "\x00" in text:
         raise EncodeError("string contains U+0000")
-    return struct.pack(">H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 def _binary(data: bytes) -> bytes:
     if len(data) > 65535:
         raise EncodeError("binary field longer than 65535 bytes")
-    return struct.pack(">H", len(data)) + data
+    return _U16.pack(len(data)) + data
 
 
 def _u16(value: int, what: str) -> bytes:
     if not 0 <= value <= 65535:
         raise EncodeError(f"{what} {value} does not fit 16 bits")
-    return struct.pack(">H", value)
+    return _U16.pack(value)
 
 
 def _packet_id(value: int | None, what: str) -> bytes:
     if value is None or not 1 <= value <= 65535:
         raise EncodeError(f"{what} requires a packet identifier in [1, 65535], got {value}")
-    return struct.pack(">H", value)
+    return _U16.pack(value)
+
+
+def _read_packet_id(reader: _Reader, what: str) -> int:
+    pid = reader.u16()
+    if pid == 0:
+        raise ProtocolViolation(f"{what} packet identifier must be non-zero")
+    return pid
 
 
 # ---------------------------------------------------------------------------
-# Packet encoding
+# The rest of each body: after the packet identifier and geolocation block.
+# Encoders return its bytes; decoders return the body's remaining fields.
 # ---------------------------------------------------------------------------
 
 
-def encode_packet(packet: ControlPacket) -> bytes:
-    """Serialize a control packet, geolocation block included.
-
-    Raises EncodeError naming the violated invariant when the packet
-    cannot be represented on the wire.
-    """
-    ptype = packet.packet_type
-    geo = packet.geolocation
-    if geo is not None and ptype not in GEO_CAPABLE_TYPES:
-        raise EncodeError(f"{ptype.name} never carries geolocation")
-    geo_bytes = encode_geolocation(geo) if geo is not None else b""
-
-    body = packet.body
-    if isinstance(body, Publish):
-        flags, payload = _encode_publish(body, geo_bytes)
-    elif isinstance(body, Connect):
-        flags, payload = 0x0, _encode_connect(body)
-    elif isinstance(body, Connack):
-        flags, payload = 0x0, _encode_connack(body)
-    elif isinstance(body, (PubAck, PubRec, PubRel, PubComp)):
-        flags = _BASE_FLAGS[ptype]
-        payload = _packet_id(body.packet_id, ptype.name) + geo_bytes
-    elif isinstance(body, Subscribe):
-        flags, payload = 0x2, _encode_subscribe(body, geo_bytes)
-    elif isinstance(body, Suback):
-        flags, payload = 0x0, _encode_suback(body)
-    elif isinstance(body, Unsubscribe):
-        flags, payload = 0x2, _encode_unsubscribe(body, geo_bytes)
-    elif isinstance(body, Unsuback):
-        flags, payload = 0x0, _packet_id(body.packet_id, "UNSUBACK")
-    elif isinstance(body, (Pingreq, Pingresp, Disconnect)):
-        flags, payload = 0x0, geo_bytes
-    else:  # pragma: no cover - exhaustive over Body
-        raise EncodeError(f"unknown body type {type(body).__name__}")
-
-    if geo is not None and ptype is not PacketType.PUBLISHG:
-        flags |= GEO_FLAG
-    return bytes([(ptype << 4) | flags]) + encode_remaining_length(len(payload)) + payload
+def _encode_nothing(body: Body) -> bytes:
+    return b""
 
 
-def _encode_publish(body: Publish, geo_bytes: bytes) -> tuple[int, bytes]:
-    if not topic_name_valid(body.topic):
-        raise EncodeError(f"invalid publish topic {body.topic!r}")
-    if body.qos not in (0, 1, 2):
-        raise EncodeError(f"QoS {body.qos} not in (0, 1, 2)")
-    if body.qos == 0 and body.dup:
-        raise EncodeError("DUP must be 0 on a QoS 0 publish")
-    if body.qos == 0 and body.packet_id is not None:
-        raise EncodeError("packet identifier requires QoS > 0")
-    out = bytearray(_string(body.topic))
-    if body.qos > 0:
-        out += _packet_id(body.packet_id, "publish with QoS > 0")
-    out += geo_bytes
-    out += body.payload
-    flags = (body.dup << 3) | (body.qos << 1) | int(body.retain)
-    return flags, bytes(out)
+def _decode_nothing(reader: _Reader) -> tuple:
+    return ()
 
 
 def _encode_connect(body: Connect) -> bytes:
@@ -541,10 +455,45 @@ def _encode_connect(body: Connect) -> bytes:
     return head + payload
 
 
+def _decode_connect(reader: _Reader) -> tuple:
+    protocol = reader.string()
+    if protocol != "MQTT":
+        raise MalformedPacket(f"unexpected protocol name {protocol!r}")
+    level = reader.u8()
+    connect_flags = reader.u8()
+    if connect_flags & 0x01:
+        raise MalformedPacket("CONNECT reserved flag bit set")
+    keep_alive = reader.u16()
+    client_id = reader.string()
+    clean_session = bool(connect_flags & 0x02)
+    will = None
+    if connect_flags & 0x04:
+        will_qos = (connect_flags >> 3) & 0x03
+        if will_qos == 3:
+            raise MalformedPacket("will QoS 3 is invalid")
+        will_topic = reader.string()
+        will_payload = reader.binary()
+        will = Will(will_topic, will_payload, will_qos, bool(connect_flags & 0x20))
+    elif connect_flags & 0x38:
+        raise MalformedPacket("will QoS/retain set without will flag")
+    username = reader.string() if connect_flags & 0x80 else None
+    password = reader.binary() if connect_flags & 0x40 else None
+    if password is not None and username is None:
+        raise MalformedPacket("password flag set without username flag")
+    return client_id, clean_session, keep_alive, will, username, password, level
+
+
 def _encode_connack(body: Connack) -> bytes:
     if not 0 <= body.return_code <= 255:
         raise EncodeError(f"CONNACK return code {body.return_code} does not fit a byte")
     return bytes([int(body.session_present), body.return_code])
+
+
+def _decode_connack(reader: _Reader) -> tuple:
+    ack_flags = reader.u8()
+    if ack_flags & 0xFE:
+        raise MalformedPacket("CONNACK acknowledge flags bits 1-7 must be 0")
+    return bool(ack_flags & 0x01), reader.u8()
 
 
 def _encode_filter_entry(f: TopicFilter) -> bytes:
@@ -564,42 +513,163 @@ def _encode_filter_entry(f: TopicFilter) -> bytes:
             f"geo filter center out of range: lat={c.latitude} lon={c.longitude}"
         )
     out.append(GEO_FILTER_FLAG | f.qos)
-    out.append(int(c.kind))
-    out += struct.pack("<f", c.radius)
-    out += struct.pack("<d", c.latitude)
-    out += struct.pack("<d", c.longitude)
+    out += _RADIUS_ENTRY.pack(c.kind, c.radius, c.latitude, c.longitude)
     return bytes(out)
 
 
-def _encode_subscribe(body: Subscribe, geo_bytes: bytes) -> bytes:
+def _encode_filters(body: Subscribe) -> bytes:
     if not body.filters:
         raise EncodeError("SUBSCRIBE requires at least one topic filter")
-    out = bytearray(_packet_id(body.packet_id, "SUBSCRIBE"))
-    out += geo_bytes
-    for f in body.filters:
-        out += _encode_filter_entry(f)
-    return bytes(out)
+    return b"".join(_encode_filter_entry(f) for f in body.filters)
 
 
-def _encode_suback(body: Suback) -> bytes:
+def _decode_filters(reader: _Reader) -> tuple:
+    filters = []
+    while reader.remaining():
+        topic = reader.string()
+        qos_byte = reader.u8()
+        if qos_byte & ~(GEO_FILTER_FLAG | 0x03):
+            raise ProtocolViolation(f"reserved bits set in QoS byte 0x{qos_byte:02x}")
+        qos = qos_byte & 0x03
+        if qos == 3:
+            raise ProtocolViolation("requested QoS 3 is invalid")
+        constraint = None
+        if qos_byte & GEO_FILTER_FLAG:
+            kind_byte, radius, latitude, longitude = reader.unpack(_RADIUS_ENTRY)
+            try:
+                kind = ConstraintKind(kind_byte)
+            except ValueError:
+                raise MalformedPacket(f"unknown geo filter kind 0x{kind_byte:02x}") from None
+            if not (math.isfinite(radius) and radius > 0):
+                raise MalformedPacket(f"geo filter radius must be > 0, got {radius!r}")
+            if not coordinates_valid(latitude, longitude):
+                raise InvalidCoordinates(
+                    f"geo filter center out of range: lat={latitude!r} lon={longitude!r}"
+                )
+            constraint = GeoConstraint(kind, radius, latitude, longitude)
+        filters.append(TopicFilter(topic, qos, constraint))
+    if not filters:
+        raise ProtocolViolation("SUBSCRIBE with no topic filters")
+    return (tuple(filters),)
+
+
+def _encode_return_codes(body: Suback) -> bytes:
     if not body.return_codes:
         raise EncodeError("SUBACK requires at least one return code")
     for code in body.return_codes:
         if code not in (0x00, 0x01, 0x02, 0x80):
             raise EncodeError(f"invalid SUBACK return code 0x{code:02x}")
-    return _packet_id(body.packet_id, "SUBACK") + bytes(body.return_codes)
+    return bytes(body.return_codes)
 
 
-def _encode_unsubscribe(body: Unsubscribe, geo_bytes: bytes) -> bytes:
+def _decode_return_codes(reader: _Reader) -> tuple:
+    codes = tuple(reader.take(reader.remaining()))
+    if not codes:
+        raise MalformedPacket("SUBACK with no return codes")
+    for code in codes:
+        if code not in (0x00, 0x01, 0x02, 0x80):
+            raise MalformedPacket(f"invalid SUBACK return code 0x{code:02x}")
+    return (codes,)
+
+
+def _encode_topics(body: Unsubscribe) -> bytes:
     if not body.topics:
         raise EncodeError("UNSUBSCRIBE requires at least one topic filter")
-    out = bytearray(_packet_id(body.packet_id, "UNSUBSCRIBE"))
-    out += geo_bytes
     for topic in body.topics:
         if not topic_filter_valid(topic):
             raise EncodeError(f"invalid topic filter {topic!r}")
-        out += _string(topic)
-    return bytes(out)
+    return b"".join(_string(topic) for topic in body.topics)
+
+
+def _decode_topics(reader: _Reader) -> tuple:
+    topics = []
+    while reader.remaining():
+        topics.append(reader.string())
+    if not topics:
+        raise ProtocolViolation("UNSUBSCRIBE with no topic filters")
+    return (tuple(topics),)
+
+
+# ---------------------------------------------------------------------------
+# The packet table
+# ---------------------------------------------------------------------------
+
+
+class _Spec(NamedTuple):
+    ptype: PacketType
+    body: type
+    flags: int  # mandated fixed-header flag nibble, without GEO_FLAG
+    geo: bool  # may carry the geolocation block
+    packet_id: bool  # a packet identifier leads the variable header
+    encode: Callable[[Body], bytes]
+    decode: Callable[[_Reader], tuple]
+
+
+# PUBLISH and PUBLISHG are not here: their flags carry DUP, QoS and RETAIN.
+_PACKETS = (
+    _Spec(PacketType.CONNECT, Connect, 0x0, False, False, _encode_connect, _decode_connect),
+    _Spec(PacketType.CONNACK, Connack, 0x0, False, False, _encode_connack, _decode_connack),
+    _Spec(PacketType.PUBACK, PubAck, 0x0, True, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PUBREC, PubRec, 0x0, True, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PUBREL, PubRel, 0x2, True, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PUBCOMP, PubComp, 0x0, True, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.SUBSCRIBE, Subscribe, 0x2, True, True, _encode_filters, _decode_filters),
+    _Spec(PacketType.SUBACK, Suback, 0x0, False, True, _encode_return_codes, _decode_return_codes),
+    _Spec(PacketType.UNSUBSCRIBE, Unsubscribe, 0x2, True, True, _encode_topics, _decode_topics),
+    _Spec(PacketType.UNSUBACK, Unsuback, 0x0, False, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PINGREQ, Pingreq, 0x0, True, False, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PINGRESP, Pingresp, 0x0, False, False, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.DISCONNECT, Disconnect, 0x0, True, False, _encode_nothing, _decode_nothing),
+)
+_BY_BODY = {spec.body: spec for spec in _PACKETS}
+_BY_TYPE = {spec.ptype: spec for spec in _PACKETS}
+
+
+# ---------------------------------------------------------------------------
+# Packet encoding
+# ---------------------------------------------------------------------------
+
+
+def encode_packet(packet: ControlPacket) -> bytes:
+    """Serialize a control packet, geolocation block included.
+
+    Raises EncodeError naming the violated invariant when the packet
+    cannot be represented on the wire.
+    """
+    body, geo = packet.body, packet.geolocation
+    if isinstance(body, Publish):
+        ptype = PacketType.PUBLISH if geo is None else PacketType.PUBLISHG
+        flags, rest = _encode_publish(body, b"" if geo is None else encode_geolocation(geo))
+    else:
+        spec = _BY_BODY[type(body)]
+        ptype, flags, rest = spec.ptype, spec.flags, b""
+        if geo is not None:
+            if not spec.geo:
+                raise EncodeError(f"{ptype.name} never carries geolocation")
+            flags |= GEO_FLAG
+            rest = encode_geolocation(geo)
+        if spec.packet_id:
+            rest = _packet_id(body.packet_id, ptype.name) + rest
+        rest += spec.encode(body)
+    return bytes([(ptype << 4) | flags]) + encode_remaining_length(len(rest)) + rest
+
+
+def _encode_publish(body: Publish, geo_bytes: bytes) -> tuple[int, bytes]:
+    if not topic_name_valid(body.topic):
+        raise EncodeError(f"invalid publish topic {body.topic!r}")
+    if body.qos not in (0, 1, 2):
+        raise EncodeError(f"QoS {body.qos} not in (0, 1, 2)")
+    if body.qos == 0 and body.dup:
+        raise EncodeError("DUP must be 0 on a QoS 0 publish")
+    if body.qos == 0 and body.packet_id is not None:
+        raise EncodeError("packet identifier requires QoS > 0")
+    out = bytearray(_string(body.topic))
+    if body.qos > 0:
+        out += _packet_id(body.packet_id, "publish with QoS > 0")
+    out += geo_bytes
+    out += body.payload
+    flags = (body.dup << 3) | (body.qos << 1) | int(body.retain)
+    return flags, bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -631,74 +701,20 @@ def decode_packet(data: bytes) -> ControlPacket:
             f"remaining length {header.remaining_length} does not match "
             f"{len(data) - offset} body bytes"
         )
-    reader = _Reader(data[offset : offset + header.remaining_length])
+    reader = _Reader(data[offset:])
     ptype, flags = header.packet_type, header.flags
 
-    if ptype in (PacketType.PUBLISH, PacketType.PUBLISHG):
+    if ptype is PacketType.PUBLISH or ptype is PacketType.PUBLISHG:
         return _decode_publish(ptype, flags, reader)
 
-    base = _BASE_FLAGS[ptype]
-    if flags != base and not (flags == (base | GEO_FLAG) and ptype in GEO_CAPABLE_TYPES):
+    spec = _BY_TYPE[ptype]
+    if flags != spec.flags and not (spec.geo and flags == spec.flags | GEO_FLAG):
         raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {ptype.name}")
-    has_geo = flags != base
-    geo: GeoLocation | None
-
-    if ptype is PacketType.CONNECT:
-        packet = ControlPacket(_decode_connect(reader))
-    elif ptype is PacketType.CONNACK:
-        packet = ControlPacket(_decode_connack(reader))
-    elif ptype in (
-        PacketType.PUBACK,
-        PacketType.PUBREC,
-        PacketType.PUBREL,
-        PacketType.PUBCOMP,
-    ):
-        body_cls = {
-            PacketType.PUBACK: PubAck,
-            PacketType.PUBREC: PubRec,
-            PacketType.PUBREL: PubRel,
-            PacketType.PUBCOMP: PubComp,
-        }[ptype]
-        pid = _read_packet_id(reader, ptype.name)
-        geo = reader.geolocation() if has_geo else None
-        packet = ControlPacket(body_cls(pid), geo)
-    elif ptype is PacketType.SUBSCRIBE:
-        pid = _read_packet_id(reader, "SUBSCRIBE")
-        geo = reader.geolocation() if has_geo else None
-        packet = ControlPacket(Subscribe(pid, _decode_filter_entries(reader)), geo)
-    elif ptype is PacketType.SUBACK:
-        packet = ControlPacket(_decode_suback(reader))
-    elif ptype is PacketType.UNSUBSCRIBE:
-        pid = _read_packet_id(reader, "UNSUBSCRIBE")
-        geo = reader.geolocation() if has_geo else None
-        topics = []
-        while reader.remaining():
-            topics.append(reader.string())
-        if not topics:
-            raise ProtocolViolation("UNSUBSCRIBE with no topic filters")
-        packet = ControlPacket(Unsubscribe(pid, tuple(topics)), geo)
-    elif ptype is PacketType.UNSUBACK:
-        packet = ControlPacket(Unsuback(_read_packet_id(reader, "UNSUBACK")))
-    elif ptype in (PacketType.PINGREQ, PacketType.PINGRESP, PacketType.DISCONNECT):
-        body = {
-            PacketType.PINGREQ: Pingreq,
-            PacketType.PINGRESP: Pingresp,
-            PacketType.DISCONNECT: Disconnect,
-        }[ptype]()
-        geo = reader.geolocation() if has_geo else None
-        packet = ControlPacket(body, geo)
-    else:  # pragma: no cover - all types handled
-        raise MalformedPacket(f"unhandled packet type {ptype}")
-
+    head = (_read_packet_id(reader, ptype.name),) if spec.packet_id else ()
+    geo = reader.geolocation() if flags & GEO_FLAG else None
+    body = spec.body(*head, *spec.decode(reader))
     reader.expect_end(ptype.name)
-    return packet
-
-
-def _read_packet_id(reader: _Reader, what: str) -> int:
-    pid = reader.u16()
-    if pid == 0:
-        raise ProtocolViolation(f"{what} packet identifier must be non-zero")
-    return pid
+    return ControlPacket(body, geo)
 
 
 def _decode_publish(ptype: PacketType, flags: int, reader: _Reader) -> ControlPacket:
@@ -717,82 +733,3 @@ def _decode_publish(ptype: PacketType, flags: int, reader: _Reader) -> ControlPa
     payload = reader.take(reader.remaining())
     body = Publish(topic, payload, qos, retain, dup, packet_id)
     return ControlPacket(body, geo)
-
-
-def _decode_connect(reader: _Reader) -> Connect:
-    protocol = reader.string()
-    if protocol != "MQTT":
-        raise MalformedPacket(f"unexpected protocol name {protocol!r}")
-    level = reader.u8()
-    connect_flags = reader.u8()
-    if connect_flags & 0x01:
-        raise MalformedPacket("CONNECT reserved flag bit set")
-    keep_alive = reader.u16()
-    client_id = reader.string()
-    clean_session = bool(connect_flags & 0x02)
-    will = None
-    if connect_flags & 0x04:
-        will_qos = (connect_flags >> 3) & 0x03
-        if will_qos == 3:
-            raise MalformedPacket("will QoS 3 is invalid")
-        will_topic = reader.string()
-        will_payload = reader.binary()
-        will = Will(will_topic, will_payload, will_qos, bool(connect_flags & 0x20))
-    elif connect_flags & 0x38:
-        raise MalformedPacket("will QoS/retain set without will flag")
-    username = reader.string() if connect_flags & 0x80 else None
-    password = reader.binary() if connect_flags & 0x40 else None
-    if password is not None and username is None:
-        raise MalformedPacket("password flag set without username flag")
-    return Connect(client_id, clean_session, keep_alive, will, username, password, level)
-
-
-def _decode_connack(reader: _Reader) -> Connack:
-    ack_flags = reader.u8()
-    if ack_flags & 0xFE:
-        raise MalformedPacket("CONNACK acknowledge flags bits 1-7 must be 0")
-    return Connack(bool(ack_flags & 0x01), reader.u8())
-
-
-def _decode_filter_entries(reader: _Reader) -> tuple[TopicFilter, ...]:
-    filters = []
-    while reader.remaining():
-        topic = reader.string()
-        qos_byte = reader.u8()
-        if qos_byte & ~(GEO_FILTER_FLAG | 0x03):
-            raise ProtocolViolation(f"reserved bits set in QoS byte 0x{qos_byte:02x}")
-        qos = qos_byte & 0x03
-        if qos == 3:
-            raise ProtocolViolation("requested QoS 3 is invalid")
-        constraint = None
-        if qos_byte & GEO_FILTER_FLAG:
-            kind_byte = reader.u8()
-            try:
-                kind = ConstraintKind(kind_byte)
-            except ValueError:
-                raise MalformedPacket(f"unknown geo filter kind 0x{kind_byte:02x}") from None
-            radius = struct.unpack("<f", reader.take(4))[0]
-            latitude = struct.unpack("<d", reader.take(8))[0]
-            longitude = struct.unpack("<d", reader.take(8))[0]
-            if not (math.isfinite(radius) and radius > 0):
-                raise MalformedPacket(f"geo filter radius must be > 0, got {radius!r}")
-            if not coordinates_valid(latitude, longitude):
-                raise InvalidCoordinates(
-                    f"geo filter center out of range: lat={latitude!r} lon={longitude!r}"
-                )
-            constraint = GeoConstraint(kind, radius, latitude, longitude)
-        filters.append(TopicFilter(topic, qos, constraint))
-    if not filters:
-        raise ProtocolViolation("SUBSCRIBE with no topic filters")
-    return tuple(filters)
-
-
-def _decode_suback(reader: _Reader) -> Suback:
-    pid = _read_packet_id(reader, "SUBACK")
-    codes = tuple(reader.take(reader.remaining()))
-    if not codes:
-        raise MalformedPacket("SUBACK with no return codes")
-    for code in codes:
-        if code not in (0x00, 0x01, 0x02, 0x80):
-            raise MalformedPacket(f"invalid SUBACK return code 0x{code:02x}")
-    return Suback(pid, codes)

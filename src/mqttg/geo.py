@@ -16,18 +16,23 @@ from .errors import AnchorUnknown, InvalidCoordinates, InvalidPolygon
 EARTH_RADIUS_M = 6_371_000.0
 
 
+def coordinates_valid(latitude: float, longitude: float) -> bool:
+    """True iff both are finite and in [-90, 90] and [-180, 180] degrees."""
+    return (
+        math.isfinite(latitude)
+        and math.isfinite(longitude)
+        and -90.0 <= latitude <= 90.0
+        and -180.0 <= longitude <= 180.0
+    )
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     latitude: float
     longitude: float
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.latitude)
-            and math.isfinite(self.longitude)
-            and -90.0 <= self.latitude <= 90.0
-            and -180.0 <= self.longitude <= 180.0
-        ):
+        if not coordinates_valid(self.latitude, self.longitude):
             raise InvalidCoordinates(
                 f"lat={self.latitude!r} lon={self.longitude!r} out of range"
             )

@@ -19,6 +19,7 @@ class Tap:
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(1)
         self.port = self._listener.getsockname()[1]
+        self._sockets: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
         thread = threading.Thread(target=self._accept, daemon=True)
         thread.start()
@@ -30,6 +31,7 @@ class Tap:
         except OSError:
             return
         server = socket.create_connection(self.upstream)
+        self._sockets += (client, server)
         for src, dst, sink in (
             (client, server, self.client_to_server),
             (server, client, self.server_to_client),
@@ -50,14 +52,23 @@ class Tap:
         except OSError:
             pass
         finally:
-            for sock in (src, dst):
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+            _shutdown(src)
+            _shutdown(dst)
 
     def close(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop forwarding, wait for the threads, then close every socket."""
+        _shutdown(self._listener)
+        self._threads[0].join(timeout=5)  # the accept thread registers the pair
+        for sock in self._sockets:
+            _shutdown(sock)
+        for thread in self._threads[1:]:
+            thread.join(timeout=5)
+        for sock in (self._listener, *self._sockets):
+            sock.close()
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass

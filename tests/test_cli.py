@@ -93,6 +93,13 @@ class TestPubSubReplay:
         assert len(lines) == 1  # the faraway publish was filtered out
         assert lines[0].startswith("city/traffic jam 49.85")
 
+    def test_sub_rejects_both_radius_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sub", "--port", "1", "-t", "x",
+                  "--inside-radius", "5000,0,0", "--outside-radius", "5000,0,0"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_pub_connect_failure_nonzero_exit(self):
         result = run_cli("pub", "--port", "1", "-t", "x", "-m", "y")
         assert result.returncode != 0

@@ -18,7 +18,7 @@ from mqttg.codec import (
     decode_remaining_length,
     encode_packet,
 )
-from mqttg.errors import DeliveryTimeout
+from mqttg.errors import DeliveryTimeout, MalformedPacket
 
 from nettap import Tap
 
@@ -179,6 +179,28 @@ class _SilentBroker:
         except OSError:
             pass
         self.done.set()
+
+
+def test_failed_handshake_closes_the_socket():
+    """A CONNACK that fails to decode must not leave the connection open."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            sock.recv(1024)  # CONNECT
+            sock.sendall(b"\x20\x02\x02\x00")  # reserved acknowledge-flag bit set
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="leak", port=listener.getsockname()[1]))
+        with pytest.raises(MalformedPacket):
+            client.connect()
+        server.join(5.0)
+        with peer[0] as sock:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF: the client closed its end
 
 
 def test_qos1_retransmits_with_dup_then_times_out():

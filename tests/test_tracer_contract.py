@@ -4,7 +4,9 @@ loopbench/tracing.py replaces module globals of mqttg.broker and methods
 of BrokerState with counting and timing wrappers. A rename in the broker
 would break a traced benchmark run (--trace 1) while every other test
 stays green, so this test reads the tracer's source, without importing
-or running it, and checks each wrapped name.
+or running it, and checks each wrapped name. A wrapped global the broker
+no longer calls would make its traced metric read zero, so the broker's
+source is parsed too, to check that each one is still called.
 """
 
 import ast
@@ -54,3 +56,21 @@ def test_wrapped_broker_names_exist():
         assert callable(getattr(broker, name, None)), f"mqttg.broker.{name}"
     for name in methods:
         assert callable(getattr(BrokerState, name, None)), f"BrokerState.{name}"
+
+
+def called_globals(source: Path) -> set[str]:
+    """Bare names called from inside some function of ``source``."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {
+        call.func.id
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
+def test_wrapped_broker_globals_are_called():
+    module_globals, _ = wrapped_names()
+    uncalled = module_globals - called_globals(Path(broker.__file__))
+    assert not uncalled, f"mqttg.broker never calls {sorted(uncalled)}"
