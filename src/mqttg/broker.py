@@ -21,7 +21,11 @@ PUBLISH with the block stripped. Outgoing QoS is min(publish, granted).
 Routing is indexed, so a publish costs what matches it, not the size of
 the table: a topic tree (topics.TopicTree) finds the matching filters by
 walking the topic's levels, and the fence registry is keyed by owner, so
-only a candidate subscriber's own fences are read.
+only a candidate subscriber's own fences are read. Geometry is compiled
+when it is stored (see geo): a radius filter keeps its centre and latitude
+band, a static fence its Ring, a location record its GeoPoint, and a
+dynamic fence the Ring it last resolved to, with the anchor's record it
+was resolved at.
 """
 
 from __future__ import annotations
@@ -69,8 +73,11 @@ from .geo import (
     FenceMode,
     GeofencePolygon,
     GeoPoint,
+    Ring,
+    coordinates_valid,
     haversine_distance,
     inside_radius,
+    latitude_band,
     point_in_polygon,
     resolve_polygon,
 )
@@ -87,12 +94,22 @@ SUBACK_FAILURE = 0x80
 
 @dataclass(slots=True)
 class Subscription:
+    """A stored filter; a radius constraint is compiled to its centre and
+    its latitude band (geo.latitude_band)."""
+
     topic: str
     qos: int
     constraint: GeoConstraint | None = None
+    center: GeoPoint | None = field(default=None, init=False, repr=False, compare=False)
+    band: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.constraint is not None:
+            self.center = GeoPoint(self.constraint.latitude, self.constraint.longitude)
+            self.band = latitude_band(self.constraint.radius)
 
 
-@dataclass
+@dataclass(slots=True)
 class LocationRecord:
     """Last-known location of a client plus its trip accumulators."""
 
@@ -102,16 +119,20 @@ class LocationRecord:
     cumulative_distance_m: float = 0.0
     last_speed_kmh: float | None = None
     updates: int = 1
+    point: GeoPoint = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.point = GeoPoint(self.location.latitude, self.location.longitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationUpdate:
     record: LocationRecord
     segment_m: float
     speed_kmh: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     client_id: str
     qos: int
@@ -124,8 +145,27 @@ class SessionState:
     subscriptions: dict[str, Subscription] = field(default_factory=dict)
     geo_capable: bool = False
     next_pid: int = 1
-    outbound: dict[int, str] = field(default_factory=dict)  # pid -> flow stage
-    incoming_qos2: set[int] = field(default_factory=set)
+    # QoS flow tables, made on first use: most sessions never need them
+    outbound: dict[int, str] | None = None  # pid -> flow stage
+    incoming_qos2: set[int] | None = None
+
+
+class _StoredFence:
+    """A registered fence and the Ring it is tested against.
+
+    A static fence's Ring is its own. A dynamic fence's is the one it last
+    resolved to, kept with ``anchor``, the anchor's LocationRecord at that
+    time (None: it had none); None if that resolution failed. Every fix
+    and every new session replaces the anchor's record, so a record that
+    is still the anchor's means the Ring is still right.
+    """
+
+    __slots__ = ("fence", "anchor", "ring")
+
+    def __init__(self, fence: GeofencePolygon) -> None:
+        self.fence = fence
+        self.anchor: LocationRecord | None = None
+        self.ring: Ring | None = fence.ring
 
 
 class BrokerState:
@@ -137,7 +177,7 @@ class BrokerState:
         # session.subscriptions, kept in step by every method that changes them
         self.subscriptions = TopicTree()
         self.locations: dict[str, LocationRecord] = {}
-        self.fences: dict[str, dict[str, list[GeofencePolygon]]] = {}  # owner -> filter -> fences
+        self.fences: dict[str, dict[str, list[_StoredFence]]] = {}  # owner -> filter -> fences
         self.retained: dict[str, tuple[bytes, int]] = {}
 
     # -- session lifecycle --------------------------------------------------
@@ -161,25 +201,16 @@ class BrokerState:
     def update_last_location(
         self, client_id: str, geo: GeoLocation, now: float
     ) -> LocationUpdate:
-        point = GeoPoint(geo.latitude, geo.longitude)
+        record = LocationRecord(client_id, geo, now)
         prior = self.locations.get(client_id)
-        if prior is None:
-            record = LocationRecord(client_id, geo, now)
-            self.locations[client_id] = record
-            return LocationUpdate(record, 0.0, None)
-        segment = haversine_distance(
-            GeoPoint(prior.location.latitude, prior.location.longitude), point
-        )
-        dt = now - prior.received_at
-        speed = (segment / dt) * 3.6 if dt > 0 else None
-        record = LocationRecord(
-            client_id,
-            geo,
-            now,
-            prior.cumulative_distance_m + segment,
-            speed,
-            prior.updates + 1,
-        )
+        segment, speed = 0.0, None
+        if prior is not None:
+            segment = haversine_distance(prior.point, record.point)
+            dt = now - prior.received_at
+            speed = (segment / dt) * 3.6 if dt > 0 else None
+            record.cumulative_distance_m = prior.cumulative_distance_m + segment
+            record.last_speed_kmh = speed
+            record.updates = prior.updates + 1
         self.locations[client_id] = record
         return LocationUpdate(record, segment, speed)
 
@@ -191,7 +222,12 @@ class BrokerState:
         session = self.sessions[client_id]
         codes = []
         for f in filters:
-            if not topic_filter_valid(f.topic) or f.qos not in (0, 1, 2):
+            c = f.constraint
+            if (
+                not topic_filter_valid(f.topic)
+                or f.qos not in (0, 1, 2)
+                or (c is not None and not coordinates_valid(c.latitude, c.longitude))
+            ):
                 codes.append(SUBACK_FAILURE)
                 continue
             sub = session.subscriptions[f.topic] = Subscription(f.topic, f.qos, f.constraint)
@@ -211,7 +247,7 @@ class BrokerState:
     def add_fence(self, owner: str, topic: str, fence: GeofencePolygon) -> None:
         if not topic_filter_valid(topic):
             raise InvalidPolygon(f"invalid fence topic filter {topic!r}")
-        self.fences.setdefault(owner, {}).setdefault(topic, []).append(fence)
+        self.fences.setdefault(owner, {}).setdefault(topic, []).append(_StoredFence(fence))
 
     def clear_fence(self, owner: str, topic: str) -> int:
         owned = self.fences.get(owner)
@@ -234,12 +270,13 @@ class BrokerState:
 
     def alloc_pid(self, client_id: str) -> int:
         session = self.sessions[client_id]
-        if len(session.outbound) >= 65535:
+        outbound = session.outbound or ()
+        if len(outbound) >= 65535:
             raise MQTTgError("no free packet identifiers")
         for _ in range(65535):
             pid = session.next_pid
             session.next_pid = pid % 65535 + 1
-            if pid not in session.outbound:
+            if pid not in outbound:
                 return pid
         raise MQTTgError("no free packet identifiers")
 
@@ -253,11 +290,23 @@ class BrokerState:
         geo: GeoLocation | None,
     ) -> list[Delivery]:
         """Delivery decisions for one publish; see the module docstring."""
+        point = None  # the publish's GeoPoint, made at the first radius test
         passing: dict[str, list[Subscription]] = {}
         for subs in self.subscriptions.match(topic):
             for client_id, sub in subs.items():
-                if self._constraint_passes(sub.constraint, geo):
-                    passing.setdefault(client_id, []).append(sub)
+                constraint = sub.constraint
+                if constraint is not None:
+                    if geo is None or not geo.is_evaluable:
+                        continue  # fail closed: no location, no geo-constrained delivery
+                    if point is None:
+                        point = GeoPoint(geo.latitude, geo.longitude)
+                    center = sub.center
+                    inside = abs(point.latitude - center.latitude) <= sub.band and inside_radius(
+                        point, center, constraint.radius
+                    )
+                    if inside != (constraint.kind is ConstraintKind.INSIDE_RADIUS):
+                        continue
+                passing.setdefault(client_id, []).append(sub)
         deliveries = []
         for client_id, subs in passing.items():
             if not self._fences_pass(client_id, topic):
@@ -270,49 +319,40 @@ class BrokerState:
             deliveries.append(Delivery(client_id, out_qos, include_geo))
         return deliveries
 
-    @staticmethod
-    def _constraint_passes(constraint: GeoConstraint | None, geo: GeoLocation | None) -> bool:
-        if constraint is None:
-            return True
-        if geo is None or not geo.is_evaluable:
-            return False  # fail closed: no location, no geo-constrained delivery
-        inside = inside_radius(
-            GeoPoint(geo.latitude, geo.longitude),
-            GeoPoint(constraint.latitude, constraint.longitude),
-            constraint.radius,
-        )
-        return inside if constraint.kind is ConstraintKind.INSIDE_RADIUS else not inside
-
     def _fences_pass(self, client_id: str, topic: str) -> bool:
+        owned = self.fences.get(client_id)
+        if owned is None:
+            return True
         fence_lists = [
-            fences
-            for fence_topic, fences in self.fences.get(client_id, {}).items()
-            if topic_matches(fence_topic, topic)
+            fences for fence_topic, fences in owned.items() if topic_matches(fence_topic, topic)
         ]
         if not fence_lists:
             return True
         record = self.locations.get(client_id)
         if record is None or not record.location.is_evaluable:
             return False
-        where = GeoPoint(record.location.latitude, record.location.longitude)
+        where = record.point
         for fences in fence_lists:
-            for fence in fences:
-                try:
-                    anchor = self._anchor_location(fence)
-                    vertices = resolve_polygon(fence, anchor)
-                except (AnchorUnknown, InvalidCoordinates):
-                    return False
-                if not point_in_polygon(where, vertices):
+            for stored in fences:
+                ring = self._ring(stored)
+                if ring is None or not ring.box_contains(where) or not point_in_polygon(where, ring):
                     return False
         return True
 
-    def _anchor_location(self, fence: GeofencePolygon) -> GeoPoint | None:
+    def _ring(self, stored: _StoredFence) -> Ring | None:
+        """The fence's Ring where its anchor is now; None fails it closed."""
+        fence = stored.fence
         if fence.mode is FenceMode.STATIC:
-            return None
+            return stored.ring
         record = self.locations.get(fence.anchor_client or "")
-        if record is None or not record.location.is_evaluable:
-            raise AnchorUnknown(f"anchor {fence.anchor_client!r} has no known location")
-        return GeoPoint(record.location.latitude, record.location.longitude)
+        if record is not stored.anchor:
+            stored.anchor = record
+            anchor = record.point if record is not None and record.location.is_evaluable else None
+            try:
+                stored.ring = Ring(resolve_polygon(fence, anchor))
+            except (AnchorUnknown, InvalidCoordinates):
+                stored.ring = None
+        return stored.ring
 
     def retained_for(self, filters: tuple[TopicFilter, ...], client_id: str):
         """Retained messages owed to freshly granted filters.
@@ -629,11 +669,13 @@ class Broker:
             row = "LOCATION" if update else None
 
             if isinstance(body, Publish):
-                if body.qos == 2 and body.packet_id in session.incoming_qos2:
+                if body.qos == 2 and body.packet_id in (session.incoming_qos2 or ()):
                     row = None  # a resent QoS 2 publish is routed only once
                 else:
                     row = "PUBLISH"
                     if body.qos == 2:
+                        if session.incoming_qos2 is None:
+                            session.incoming_qos2 = set()
                         session.incoming_qos2.add(body.packet_id)
                     if body.retain:
                         # Retained copies never keep the geolocation block.
@@ -648,17 +690,19 @@ class Broker:
                 elif body.qos == 2:
                     reply = PubRec(body.packet_id)
             elif isinstance(body, PubAck):
-                if session.outbound.pop(body.packet_id, None) is None:
+                if (session.outbound or {}).pop(body.packet_id, None) is None:
                     logger.debug("%s: PUBACK for unknown pid %d", cid, body.packet_id)
             elif isinstance(body, PubRec):
-                if session.outbound.get(body.packet_id) == "await_pubrec":
+                if (session.outbound or {}).get(body.packet_id) == "await_pubrec":
                     session.outbound[body.packet_id] = "await_pubcomp"
                 reply = PubRel(body.packet_id)
             elif isinstance(body, PubRel):
-                session.incoming_qos2.discard(body.packet_id)
+                if session.incoming_qos2:
+                    session.incoming_qos2.discard(body.packet_id)
                 reply = PubComp(body.packet_id)
             elif isinstance(body, PubComp):
-                session.outbound.pop(body.packet_id, None)
+                if session.outbound:
+                    session.outbound.pop(body.packet_id, None)
             elif isinstance(body, Subscribe):
                 codes = self.state.subscribe(cid, body.filters)
                 reply = Suback(body.packet_id, tuple(codes))
@@ -718,8 +762,10 @@ class Broker:
             except MQTTgError:
                 logger.warning("%s: no free packet id, dropping a copy of %r", client_id, topic)
                 return
-            stage = "await_puback" if qos == 1 else "await_pubrec"
-            self.state.sessions[client_id].outbound[pid] = stage
+            session = self.state.sessions[client_id]
+            if session.outbound is None:
+                session.outbound = {}
+            session.outbound[pid] = "await_puback" if qos == 1 else "await_pubrec"
         pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
         sends.append((target, encode_packet(pkt)))
 

@@ -3,12 +3,22 @@
 All geometry is 2-D over latitude/longitude in decimal degrees on a sphere
 of mean Earth radius; elevation never participates. Containment tests are
 boundary-inclusive.
+
+Shapes that are stored are compiled once, so a test against them pays only
+for the decision. A polygon compiles to a Ring: its vertices unwrapped
+around the first one's longitude, and their bounding box. A static fence
+holds its Ring from construction; point_in_polygon takes a Ring or a vertex
+sequence, which it compiles first. A radius circle compiles to its centre
+and latitude_band(radius): a point further than the band from the centre's
+latitude is outside the circle without computing a distance; every other
+point is decided by inside_radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import AnchorUnknown, InvalidCoordinates, InvalidPolygon
@@ -26,7 +36,7 @@ def coordinates_valid(latitude: float, longitude: float) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     latitude: float
     longitude: float
@@ -47,21 +57,22 @@ class FenceMode(Enum):
 class GeofencePolygon:
     """A broker-side polygon fence.
 
-    Static fences carry absolute vertices; dynamic fences carry per-vertex
-    (dlat, dlon) offsets plus the client whose last-known location anchors
-    them.
+    Static fences carry absolute vertices, and their Ring once validated;
+    dynamic fences carry per-vertex (dlat, dlon) offsets plus the client
+    whose last-known location anchors them.
     """
 
     mode: FenceMode
     vertices: tuple[GeoPoint, ...] = ()
     vertex_offsets: tuple[tuple[float, float], ...] = ()
     anchor_client: str | None = None
+    ring: Ring | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode is FenceMode.STATIC:
             if self.vertex_offsets or self.anchor_client is not None:
                 raise InvalidPolygon("static fences take absolute vertices only")
-            validate_polygon(self.vertices)
+            object.__setattr__(self, "ring", validate_polygon(self.vertices))
         else:
             if self.vertices:
                 raise InvalidPolygon("dynamic fences take vertex offsets, not vertices")
@@ -91,6 +102,22 @@ def inside_radius(p: GeoPoint, center: GeoPoint, radius_m: float) -> bool:
     return haversine_distance(p, center) <= radius_m
 
 
+def latitude_band(radius_m: float) -> float:
+    """Degrees of latitude beyond which no point is within ``radius_m`` of
+    a centre.
+
+    A great-circle distance is at least EARTH_RADIUS_M times the latitude
+    difference in radians, so a point further than the band from the
+    centre's latitude is outside the circle. The band is widened by 1e-9,
+    far more than the rounding of haversine_distance, so it never rejects a
+    point that inside_radius accepts. Near the antipode that rounding grows
+    to about 1e-8 of the distance, so a circle of a quarter meridian or
+    more gets an infinite band, which rejects nothing.
+    """
+    band = math.degrees(radius_m / EARTH_RADIUS_M) * (1.0 + 1e-9)
+    return band if band < 90.0 else math.inf
+
+
 def _wrap180(delta: float) -> float:
     """Fold a longitude difference into (-180, 180]."""
     wrapped = math.fmod(delta + 180.0, 360.0)
@@ -104,8 +131,41 @@ def normalize_longitude(lon: float) -> float:
     return _wrap180(lon)
 
 
-def validate_polygon(vertices: tuple[GeoPoint, ...] | list[GeoPoint]) -> None:
-    """Reject polygons this module cannot test reliably.
+_BOX_SLACK = 1e-9  # degrees
+
+
+class Ring:
+    """A polygon compiled for containment tests.
+
+    ``points`` are the vertices as (lon, lat) pairs with longitudes
+    unwrapped around ``ref``, the first vertex's longitude, so the
+    antimeridian does not split the ring. The box (west, south, east,
+    north) bounds them, padded by 1e-9 degrees: rounding in the ray cast
+    moves a crossing by far less, so a point outside the box is outside the
+    ring, and a point on the box's edge is left to the ray cast.
+    """
+
+    __slots__ = ("ref", "points", "west", "south", "east", "north")
+
+    def __init__(self, vertices: Sequence[GeoPoint]) -> None:
+        ref = self.ref = vertices[0].longitude
+        self.points = tuple((ref + _wrap180(v.longitude - ref), v.latitude) for v in vertices)
+        xs = [x for x, _ in self.points]
+        ys = [y for _, y in self.points]
+        self.west, self.east = min(xs) - _BOX_SLACK, max(xs) + _BOX_SLACK
+        self.south, self.north = min(ys) - _BOX_SLACK, max(ys) + _BOX_SLACK
+
+    def box_contains(self, p: GeoPoint) -> bool:
+        """False for a point the ring cannot contain."""
+        if not self.south <= p.latitude <= self.north:
+            return False
+        x = self.ref + _wrap180(p.longitude - self.ref)
+        return self.west <= x <= self.east
+
+
+def validate_polygon(vertices: Sequence[GeoPoint]) -> Ring:
+    """Reject polygons this module cannot test reliably; return the Ring
+    of one it can.
 
     Requires >= 3 vertices, no two consecutive vertices identical, a simple
     (non-self-intersecting) ring, and a longitude span under 180 degrees
@@ -117,7 +177,8 @@ def validate_polygon(vertices: tuple[GeoPoint, ...] | list[GeoPoint]) -> None:
     for i in range(n):
         if vertices[i] == vertices[(i + 1) % n]:
             raise InvalidPolygon(f"consecutive duplicate vertex at index {i}")
-    pts = _unwrap(vertices)
+    ring = Ring(vertices)
+    pts = ring.points
     span = max(x for x, _ in pts) - min(x for x, _ in pts)
     if span >= 180.0:
         raise InvalidPolygon(f"longitude span {span:.3f} degrees >= 180")
@@ -129,13 +190,7 @@ def validate_polygon(vertices: tuple[GeoPoint, ...] | list[GeoPoint]) -> None:
             b1, b2 = pts[j], pts[(j + 1) % n]
             if _segments_cross(a1, a2, b1, b2):
                 raise InvalidPolygon(f"edges {i} and {j} intersect")
-
-
-def _unwrap(vertices) -> list[tuple[float, float]]:
-    """Map vertices to (lon, lat) with longitudes unwrapped around the
-    first vertex so the antimeridian does not split the ring."""
-    ref = vertices[0].longitude
-    return [(ref + _wrap180(v.longitude - ref), v.latitude) for v in vertices]
+    return ring
 
 
 def _cross(o, a, b) -> float:
@@ -168,29 +223,28 @@ def _on_segment(a, b, q) -> bool:
     )
 
 
-def point_in_polygon(p: GeoPoint, vertices: tuple[GeoPoint, ...] | list[GeoPoint]) -> bool:
+def point_in_polygon(p: GeoPoint, vertices: Ring | Sequence[GeoPoint]) -> bool:
     """Even-odd ray cast in the unwrapped equirectangular plane.
 
-    Boundary points count as inside. The polygon must span less than 180
-    degrees of longitude (enforced at registration).
+    ``vertices`` is a Ring, or a vertex sequence that is compiled to one
+    first. Boundary points count as inside. The polygon must span less
+    than 180 degrees of longitude (enforced at registration).
     """
-    pts = _unwrap(vertices)
-    ref = vertices[0].longitude
+    ring = vertices if isinstance(vertices, Ring) else Ring(vertices)
+    ref = ring.ref
     px = ref + _wrap180(p.longitude - ref)
     py = p.latitude
-    n = len(pts)
     inside = False
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        if _cross((x1, y1), (x2, y2), (px, py)) == 0.0 and _on_segment(
-            (x1, y1), (x2, y2), (px, py)
+    x1, y1 = ring.points[-1]
+    for x2, y2 in ring.points:
+        # on the edge: _cross((x1, y1), (x2, y2), p) == 0 and _on_segment
+        if (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) == 0.0 and (
+            min(x1, x2) <= px <= max(x1, x2) and min(y1, y2) <= py <= max(y1, y2)
         ):
             return True
-        if (y1 > py) != (y2 > py):
-            x_int = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if x_int > px:
-                inside = not inside
+        if (y1 > py) != (y2 > py) and x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
+            inside = not inside
+        x1, y1 = x2, y2
     return inside
 
 

@@ -1,6 +1,7 @@
 """BrokerState unit tests: location tracking, subscription store,
 geofence registry and the routing rules."""
 
+import math
 from random import Random
 
 import pytest
@@ -8,7 +9,16 @@ import pytest
 from mqttg.broker import BrokerState, Delivery, load_fence_file, parse_fence_spec
 from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
 from mqttg.errors import InvalidPolygon, MQTTgError, RouteFormatError
-from mqttg.geo import FenceMode, GeofencePolygon, GeoPoint
+from mqttg.geo import (
+    EARTH_RADIUS_M,
+    FenceMode,
+    GeofencePolygon,
+    GeoPoint,
+    haversine_distance,
+    inside_radius,
+    normalize_longitude,
+    point_in_polygon,
+)
 
 from scenario import run_large_scenario, run_scenario
 
@@ -104,6 +114,14 @@ class TestSubscriptions:
         assert sub.constraint == outside
         assert sub.qos == 0
         assert len(state.sessions["a"].subscriptions) == 1
+
+    def test_invalid_centre_is_refused(self):
+        state = make_state("a")
+        bad = GeoConstraint(ConstraintKind.INSIDE_RADIUS, 100.0, 91.0, 0.0)
+        good = GeoConstraint(ConstraintKind.INSIDE_RADIUS, 100.0, 90.0, 0.0)
+        codes = state.subscribe("a", (TopicFilter("x", 1, bad), TopicFilter("y", 1, good)))
+        assert codes == [0x80, 1]
+        assert set(state.sessions["a"].subscriptions) == {"y"}
 
     def test_unsubscribe_removes_fences_for_topic(self):
         state = make_state("a")
@@ -305,6 +323,135 @@ class TestSubscriptionIndex:
         assert routed(state, "t/x") == {"sub"}
 
 
+def destination(lat, lon, distance_m, bearing_deg):
+    """The point ``distance_m`` along the great circle leaving (lat, lon)
+    on ``bearing_deg``; due north is a plain latitude step."""
+    if bearing_deg == 0.0:
+        return lat + math.degrees(distance_m / EARTH_RADIUS_M), lon
+    phi, delta, theta = math.radians(lat), distance_m / EARTH_RADIUS_M, math.radians(bearing_deg)
+    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(theta))
+    dlam = math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(phi),
+        math.cos(delta) - math.sin(phi) * math.sin(phi2),
+    )
+    return math.degrees(phi2), normalize_longitude(lon + math.degrees(dlam))
+
+
+def routed_inside(center, point, radius):
+    """route()'s verdict for an inside-radius filter, checked against an
+    outside-radius filter and against inside_radius on fresh GeoPoints."""
+    verdicts = {}
+    for kind in ConstraintKind:
+        constraint = GeoConstraint(kind, radius, *center)
+        state = make_state("pub", "sub")
+        state.subscribe("sub", (TopicFilter("t", 0, constraint),))
+        verdicts[kind] = bool(state.route("pub", "t", 0, geo(*point)))
+    inside = inside_radius(GeoPoint(*point), GeoPoint(*center), constraint.radius)
+    assert verdicts == {
+        ConstraintKind.INSIDE_RADIUS: inside,
+        ConstraintKind.OUTSIDE_RADIUS: not inside,
+    }
+    return inside
+
+
+class TestRadiusBoundary:
+    """route() decides radius filters exactly as inside_radius does, also
+    for points a hair inside or outside the circle."""
+
+    @pytest.mark.parametrize("bearing", [0.0, 90.0])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (48.2, 16.37), (-33.9, 151.2)])
+    @pytest.mark.parametrize("radius", [250.0, 42_000.0, 3_000_000.0])
+    def test_a_hair_inside_and_outside(self, center, radius, bearing):
+        assert routed_inside(center, destination(*center, radius * (1 - 1e-9), bearing), radius)
+        assert not routed_inside(center, destination(*center, radius * (1 + 1e-9), bearing), radius)
+
+    def test_exact_radius_due_north(self):
+        # The latitude step rounds above radius/EARTH_RADIUS_M while the
+        # distance rounds to the radius: a boundary point that is inside.
+        center = (-9.814, 20.0)
+        assert routed_inside(center, destination(*center, 34_225.0, 0.0), 34_225.0)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1.0, 1 + 1e-9])
+    def test_center_near_the_pole(self, scale):
+        center = (89.9999, 10.0)
+        across = (89.9999, -170.0)  # over the pole, about 22 m away
+        d = haversine_distance(GeoPoint(*across), GeoPoint(*center))
+        routed_inside(center, across, d * scale)
+        for bearing in (0.0, 90.0, 200.0):
+            routed_inside(center, destination(*center, 5.0 * scale, bearing), 5.0)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1.0, 1 + 1e-9])
+    def test_across_the_antimeridian(self, scale):
+        center, point = (12.5, 179.9995), (12.5, -179.9995)
+        d = haversine_distance(GeoPoint(*point), GeoPoint(*center))
+        assert 100.0 < d < 110.0
+        routed_inside(center, point, d * scale)
+
+
+def dynamic_square(anchor, half=1.0):
+    return GeofencePolygon(
+        FenceMode.DYNAMIC,
+        vertex_offsets=((half, half), (half, -half), (-half, -half), (-half, half)),
+        anchor_client=anchor,
+    )
+
+
+class TestFenceCache:
+    """A dynamic fence is resolved again whenever its anchor's record
+    changes, and fails closed while it cannot be resolved."""
+
+    def fenced(self, fence, sub_at=(0.0, 0.0)):
+        state = make_state("pub", "sub", "truck")
+        state.subscribe("sub", (TopicFilter("t", 0),))
+        state.update_last_location("sub", geo(*sub_at), 0.0)
+        state.add_fence("sub", "t", fence)
+        return state
+
+    def test_anchor_move_flips_the_verdict(self):
+        state = self.fenced(dynamic_square("truck"))
+        state.update_last_location("truck", geo(0.5, 0.5), 1.0)
+        assert routed(state, "t") == {"sub"}
+        state.update_last_location("truck", geo(5.0, 5.0), 2.0)
+        assert routed(state, "t") == set()
+        state.update_last_location("truck", geo(-0.5, 0.0), 3.0)
+        assert routed(state, "t") == {"sub"}
+
+    def test_anchor_reconnect_without_a_fix_fails_closed(self):
+        state = self.fenced(dynamic_square("truck"))
+        state.update_last_location("truck", geo(0.0, 0.0), 1.0)
+        assert routed(state, "t") == {"sub"}
+        state.close_session("truck")
+        state.open_session("truck")
+        assert routed(state, "t") == set()
+        state.update_last_location("truck", geo(0.2, 0.2), 2.0)
+        assert routed(state, "t") == {"sub"}
+
+    def test_vertex_beyond_the_pole_fails_closed_until_the_anchor_moves(self):
+        state = self.fenced(dynamic_square("truck"), sub_at=(89.2, 0.5))
+        state.update_last_location("truck", geo(89.5, 0.0), 1.0)  # a vertex at 90.5
+        assert routed(state, "t") == set()
+        state.update_last_location("truck", geo(89.0, 0.0), 2.0)  # back to 90.0
+        assert routed(state, "t") == {"sub"}
+
+    @pytest.mark.parametrize(
+        "point,inside",
+        [
+            ((0.0, -179.5000001), True),  # just inside the east edge of the box
+            ((0.0, -179.4999999), False),  # just outside it
+            ((0.0, -179.5), True),  # on it
+            ((0.0, 179.5000001), True),  # the west edge, from inside
+            ((0.0, 179.4999999), False),
+            ((1.0000001, 180.0), False),  # just north of the box
+            ((0.9999999, 180.0), True),
+        ],
+    )
+    def test_static_ring_across_the_antimeridian(self, point, inside):
+        vertices = (GeoPoint(1, 179.5), GeoPoint(1, -179.5), GeoPoint(-1, -179.5), GeoPoint(-1, 179.5))
+        state = self.fenced(GeofencePolygon(FenceMode.STATIC, vertices=vertices), sub_at=point)
+        assert point_in_polygon(GeoPoint(*point), vertices) is inside
+        assert routed(state, "t") == ({"sub"} if inside else set())
+
+
 class TestPacketIds:
     def test_exhausted_ids_raise_without_a_walk(self):
         class CountingDict(dict):
@@ -322,6 +469,13 @@ class TestPacketIds:
             state.alloc_pid("a")
         assert session.next_pid == 777
         assert CountingDict.lookups == 0
+
+    def test_flow_tables_are_made_on_first_use(self):
+        state = make_state("a")
+        session = state.sessions["a"]
+        assert session.outbound is None and session.incoming_qos2 is None
+        assert state.alloc_pid("a") == 1
+        assert session.outbound is None  # allocating does not open the flow
 
     def test_alloc_skips_ids_in_flight(self):
         state = make_state("a")

@@ -1,0 +1,208 @@
+"""Compiled geometry decides exactly as the plain geometry does.
+
+The broker compiles a radius filter to its centre and latitude band, and
+a fence to a Ring with a bounding box, when it stores them. These
+properties route random publishes through BrokerState and compare its
+verdicts with inside_radius on fresh GeoPoints and with the ray cast
+that tested vertex sequences before rings were compiled (copied below).
+Points are also placed a hair from the circle, the box and the vertices,
+and rings are drawn across the antimeridian.
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mqttg.broker import BrokerState
+from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
+from mqttg.errors import InvalidCoordinates, InvalidPolygon
+from mqttg.geo import (
+    EARTH_RADIUS_M,
+    FenceMode,
+    GeofencePolygon,
+    GeoPoint,
+    haversine_distance,
+    inside_radius,
+    latitude_band,
+    normalize_longitude,
+    resolve_polygon,
+)
+
+from test_broker_state import destination
+
+
+def vertex_list_point_in_polygon(p, vertices):
+    """The even-odd ray cast over a vertex sequence, as it was before
+    rings were compiled."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def on_segment(a, b, q):
+        return min(a[0], b[0]) <= q[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= q[1] <= max(
+            a[1], b[1]
+        )
+
+    ref = vertices[0].longitude
+    pts = [(ref + normalize_longitude(v.longitude - ref), v.latitude) for v in vertices]
+    px = ref + normalize_longitude(p.longitude - ref)
+    py = p.latitude
+    n = len(pts)
+    inside = False
+    for i in range(n):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % n]
+        if cross((x1, y1), (x2, y2), (px, py)) == 0.0 and on_segment((x1, y1), (x2, y2), (px, py)):
+            return True
+        if (y1 > py) != (y2 > py):
+            x_int = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            if x_int > px:
+                inside = not inside
+    return inside
+
+
+def geo(lat, lon):
+    return GeoLocation(1, lat, lon, 0.0)
+
+
+latitudes = st.one_of(
+    st.floats(-90.0, 90.0),
+    st.sampled_from([-1.0, 1.0]).flatmap(lambda s: st.floats(89.0, 90.0).map(lambda x: s * x)),
+)
+longitudes = st.one_of(st.floats(-180.0, 180.0), st.floats(179.0, 181.0).map(normalize_longitude))
+hairs = st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-3])
+signs = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def publish_points(draw, center, radius):
+    """A point anywhere, or within a few 1e-9 of the radius from the circle."""
+    if draw(st.booleans()):
+        return draw(latitudes), draw(longitudes)
+    scale = 1.0 + draw(st.integers(-3, 3)) * 1e-9
+    bearing = draw(st.sampled_from([0.0, 90.0, 180.0]) | st.floats(0.0, 360.0))
+    lat, lon = destination(*center, radius * scale, bearing)
+    return min(90.0, lat), lon  # due north steps past the pole
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_radius_decision_equals_inside_radius(data):
+    center = (data.draw(latitudes), data.draw(longitudes))
+    radius = data.draw(st.floats(1e-3, 2.1e7) | st.sampled_from([1.0, 5_000.0, 1e7, 2.0015e7]))
+    kind = data.draw(st.sampled_from(ConstraintKind))
+    constraint = GeoConstraint(kind, radius, *center)
+    state = BrokerState()
+    for client in ("pub", "sub"):
+        state.open_session(client)
+    state.subscribe("sub", (TopicFilter("t", 0, constraint),))
+    for _ in range(4):
+        point = data.draw(publish_points(center, constraint.radius))
+        inside = inside_radius(GeoPoint(*point), GeoPoint(*center), constraint.radius)
+        delivered = bool(state.route("pub", "t", 0, geo(*point)))
+        assert delivered == (inside if kind is ConstraintKind.INSIDE_RADIUS else not inside)
+
+
+def test_band_holds_near_the_antipode():
+    # Here haversine_distance rounds the distance down by about 1e-8 of
+    # itself, below EARTH_RADIUS_M times the latitude difference.
+    center, point = GeoPoint(-89.99999934014907, 77.40955608226699), GeoPoint(89.99999934494903, 77.40955608226699)
+    d = haversine_distance(point, center)
+    assert d < EARTH_RADIUS_M * math.radians(point.latitude - center.latitude) * (1 - 1e-9)
+    for radius in (d, d * (1 + 1e-12)):
+        assert inside_radius(point, center, radius)
+        assert point.latitude - center.latitude <= latitude_band(radius)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_band_never_rejects_a_point_inside_the_radius(data):
+    center = (data.draw(latitudes), data.draw(longitudes))
+    radius = data.draw(st.floats(1e-3, 2.1e7))  # not rounded to 32 bits here
+    point = data.draw(publish_points(center, radius))
+    if abs(point[0] - center[0]) > latitude_band(radius):
+        assert not inside_radius(GeoPoint(*point), GeoPoint(*center), radius)
+
+
+@st.composite
+def convex_offsets(draw):
+    """(dlat, dlon) vertices of a convex polygon around the origin."""
+    n = draw(st.integers(3, 8))
+    radius = draw(st.floats(1e-4, 5.0))
+    aspect = draw(st.floats(0.3, 1.0))
+    angles = [2 * math.pi * (i + draw(st.floats(0.0, 0.8))) / n for i in range(n)]
+    return [(radius * aspect * math.sin(a), radius * math.cos(a)) for a in angles]
+
+
+@st.composite
+def near_ring_points(draw, vertices):
+    """A point in or near the polygon's box, or a hair from a vertex."""
+    lats = [v.latitude for v in vertices]
+    lons = [vertices[0].longitude + normalize_longitude(v.longitude - vertices[0].longitude) for v in vertices]
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(vertices))
+        lat = v.latitude + draw(signs) * draw(hairs)
+        lon = v.longitude + draw(signs) * draw(hairs)
+        if draw(st.booleans()):  # on the box's edge line, off the vertex
+            lat = draw(st.sampled_from([min(lats), max(lats)]))
+    else:
+        pad_lat = (max(lats) - min(lats)) * 0.1 + 1e-9
+        pad_lon = (max(lons) - min(lons)) * 0.1 + 1e-9
+        lat = draw(st.floats(min(lats) - pad_lat, max(lats) + pad_lat))
+        lon = draw(st.floats(min(lons) - pad_lon, max(lons) + pad_lon))
+    return max(-90.0, min(90.0, lat)), normalize_longitude(lon)
+
+
+def fenced_state(fence, sub_at):
+    state = BrokerState()
+    for client in ("pub", "sub", "anchor"):
+        state.open_session(client)
+    state.subscribe("sub", (TopicFilter("t", 0),))
+    state.update_last_location("sub", geo(*sub_at), 0.0)
+    state.add_fence("sub", "t", fence)
+    return state
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_static_ring_decision_equals_vertex_ray_cast(data):
+    lat0, lon0 = data.draw(st.floats(-80.0, 80.0)), data.draw(longitudes)
+    vertices = tuple(
+        GeoPoint(lat0 + dlat, normalize_longitude(lon0 + dlon))
+        for dlat, dlon in data.draw(convex_offsets())
+    )
+    try:
+        fence = GeofencePolygon(FenceMode.STATIC, vertices=vertices)
+    except InvalidPolygon:
+        assume(False)
+    for _ in range(4):
+        point = data.draw(near_ring_points(vertices))
+        state = fenced_state(fence, point)
+        expect = vertex_list_point_in_polygon(GeoPoint(*point), vertices)
+        assert bool(state.route("pub", "t", 0, None)) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dynamic_ring_decision_equals_vertex_ray_cast(data):
+    offsets = tuple(data.draw(convex_offsets()))
+    fence = GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="anchor")
+    lat, lon = data.draw(latitudes), data.draw(longitudes)
+    state = sub_at = None
+    for t in range(4):
+        if t:  # the anchor stays, creeps, moves or jumps
+            step = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 50.0]))
+            lat = max(-90.0, min(90.0, lat + data.draw(signs) * step))
+            lon = normalize_longitude(lon + data.draw(signs) * step)
+        try:
+            vertices = resolve_polygon(fence, GeoPoint(lat, lon))
+        except InvalidCoordinates:
+            vertices = None
+        if state is None:
+            sub_at = data.draw(near_ring_points(vertices)) if vertices else (lat, lon)
+            state = fenced_state(fence, sub_at)
+            assert not state.route("pub", "t", 0, None)  # no anchor fix yet
+        state.update_last_location("anchor", geo(lat, lon), float(t))
+        expect = vertices is not None and vertex_list_point_in_polygon(GeoPoint(*sub_at), vertices)
+        assert bool(state.route("pub", "t", 0, None)) == expect

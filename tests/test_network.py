@@ -18,6 +18,9 @@ from mqttg.codec import (
     GeoLocation,
     Pingreq,
     PubAck,
+    PubComp,
+    PubRec,
+    PubRel,
     Publish,
     Suback,
     Will,
@@ -323,6 +326,27 @@ class TestSessionRules:
             release.set()
             old.close()
             new.close()
+
+    def test_resent_qos2_publish_is_routed_once(self, broker):
+        sub = mk_client(broker, "sub")
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sub.subscribe("t", qos=0)
+            raw.sendall(encode_packet(ControlPacket(Connect(client_id="raw", keep_alive=5))))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            for payload, dup in ((b"first", False), (b"first", True)):
+                raw.sendall(encode_packet(ControlPacket(Publish("t", payload, 2, dup=dup, packet_id=7))))
+                assert decode_packet(read_frame(raw)).body == PubRec(7)
+            raw.sendall(encode_packet(ControlPacket(PubRel(7))))
+            assert decode_packet(read_frame(raw)).body == PubComp(7)
+            raw.sendall(encode_packet(ControlPacket(Publish("t", b"second", 2, packet_id=7))))
+            assert decode_packet(read_frame(raw)).body == PubRec(7)
+            assert sub.receive(timeout=3.0).payload == b"first"
+            assert sub.receive(timeout=3.0).payload == b"second"
+            assert sub.receive(timeout=0.3) is None
+        finally:
+            raw.close()
+            sub.disconnect()
 
     def test_subscriber_out_of_packet_ids_misses_only_its_copy(self, broker):
         full = mk_client(broker, "full")

@@ -4,9 +4,9 @@ loopbench/tracing.py replaces module globals of mqttg.broker and methods
 of BrokerState with counting and timing wrappers. A rename in the broker
 would break a traced benchmark run (--trace 1) while every other test
 stays green, so this test reads the tracer's source, without importing
-or running it, and checks each wrapped name. A wrapped global the broker
-no longer calls would make its traced metric read zero, so the broker's
-source is parsed too, to check that each one is still called.
+or running it, and checks each wrapped name. A wrapped global or method
+the broker no longer calls would make its traced metric read zero, so the
+broker's source is parsed too, to check that each one is still called.
 """
 
 import ast
@@ -74,3 +74,19 @@ def test_wrapped_broker_globals_are_called():
     module_globals, _ = wrapped_names()
     uncalled = module_globals - called_globals(Path(broker.__file__))
     assert not uncalled, f"mqttg.broker never calls {sorted(uncalled)}"
+
+
+def called_attributes(source: Path) -> set[str]:
+    """Attribute names called (``x.name(...)``) anywhere in ``source``."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {
+        call.func.attr
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+    }
+
+
+def test_wrapped_broker_methods_are_called():
+    _, methods = wrapped_names()
+    uncalled = methods - called_attributes(Path(broker.__file__))
+    assert not uncalled, f"mqttg.broker never calls the BrokerState methods {sorted(uncalled)}"
