@@ -1,10 +1,12 @@
 """The MQTTg broker.
 
-BrokerState is the in-memory core: sessions, subscriptions, the
-last-known-location table, the geofence registry, retained messages and
-the routing decision logic. It does no I/O and takes no locks; Broker
-wraps it with a TCP listener, per-connection threads, a single state lock
-and the line-oriented admin socket.
+BrokerState is the sans-IO core. It holds sessions, subscriptions, the
+last-known-location table, the geofence registry and retained messages,
+and it makes every protocol decision: CONNECT, takeover, wills, QoS flows,
+routing, event rows and admin commands. It does no socket I/O and takes no
+locks; for each packet it returns the ordered writes ``(conn, bytes |
+None)``, where None closes that connection. Broker is the threaded driver
+that moves the bytes; it also serves the line-oriented admin socket.
 
 Delivery rules for a publish on topic T, evaluated per subscriber:
   1. a plain filter matching T always passes;
@@ -91,6 +93,8 @@ CONNACK_BAD_PROTOCOL = 0x01
 CONNACK_ID_REJECTED = 0x02
 SUBACK_FAILURE = 0x80
 
+Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
+
 
 @dataclass(slots=True)
 class Subscription:
@@ -148,6 +152,8 @@ class SessionState:
     # QoS flow tables, made on first use: most sessions never need them
     outbound: dict[int, str] | None = None  # pid -> flow stage
     incoming_qos2: set[int] | None = None
+    owner: object = None  # the connection's handle; None for a session with no connection
+    will: Will | None = None
 
 
 class _StoredFence:
@@ -169,9 +175,13 @@ class _StoredFence:
 
 
 class BrokerState:
-    """Pure broker state; callers serialize access."""
+    """The sans-IO core; callers serialize access. A connection is an
+    opaque handle that the core only stores and compares. Event rows go to
+    ``events`` in the order they are decided."""
 
-    def __init__(self) -> None:
+    def __init__(self, events: EventLog | None = None) -> None:
+        self.events = events or EventLog()
+        self.clients: dict[object, str] = {}  # connection handle -> client id
         self.sessions: dict[str, SessionState] = {}
         # filter -> {client_id: Subscription}; the same objects as in
         # session.subscriptions, kept in step by every method that changes them
@@ -195,6 +205,174 @@ class BrokerState:
         if session is not None:
             for topic in session.subscriptions:
                 self.subscriptions.remove(topic, client_id)
+
+    # -- connections ----------------------------------------------------------
+
+    def receive(self, conn: object, packet: ControlPacket, now: float) -> tuple[list[Write], bool]:
+        """Decide one packet from ``conn``: (writes, keep_open). The first
+        packet must be CONNECT; a taken-over connection touches nothing."""
+        cid = self.clients.get(conn)
+        body = packet.body
+        if cid is None:
+            if isinstance(body, Connect):
+                return self._connect(conn, body)
+            logger.warning("%s: first packet was %s", conn, packet.packet_type.name)
+            return [], False
+        session = self.sessions.get(cid)
+        if session is None or session.owner is not conn:
+            return [], False  # taken over: the session belongs to a newer connection
+        geo = packet.geolocation
+        writes: list[Write] = []
+        reply = None
+        retained: list[tuple[str, bytes, int]] = []
+        update: LocationUpdate | None = None
+        if geo is not None:
+            session.geo_capable = True
+            if geo.is_evaluable:
+                # Location lands in the table before any routing below.
+                update = self.update_last_location(cid, geo, now)
+        row = "LOCATION" if update else None
+
+        if isinstance(body, Publish):
+            if body.qos == 2 and body.packet_id in (session.incoming_qos2 or ()):
+                row = None  # a resent QoS 2 publish is routed only once
+            else:
+                row = "PUBLISH"
+                if body.qos == 2:
+                    if session.incoming_qos2 is None:
+                        session.incoming_qos2 = set()
+                    session.incoming_qos2.add(body.packet_id)
+                if body.retain:
+                    # Retained copies never keep the geolocation block.
+                    self.set_retained(body.topic, body.payload, body.qos)
+                for d in self.route(cid, body.topic, body.qos, geo):
+                    self._queue_publish(
+                        writes, d.client_id, body.topic, body.payload, d.qos,
+                        geo if d.include_geo else None,
+                    )
+            if body.qos == 1:
+                reply = PubAck(body.packet_id)
+            elif body.qos == 2:
+                reply = PubRec(body.packet_id)
+        elif isinstance(body, PubAck):
+            if (session.outbound or {}).pop(body.packet_id, None) is None:
+                logger.debug("%s: PUBACK for unknown pid %d", cid, body.packet_id)
+        elif isinstance(body, PubRec):
+            if (session.outbound or {}).get(body.packet_id) == "await_pubrec":
+                session.outbound[body.packet_id] = "await_pubcomp"
+            reply = PubRel(body.packet_id)
+        elif isinstance(body, PubRel):
+            if session.incoming_qos2:
+                session.incoming_qos2.discard(body.packet_id)
+            reply = PubComp(body.packet_id)
+        elif isinstance(body, PubComp):
+            if session.outbound:
+                session.outbound.pop(body.packet_id, None)
+        elif isinstance(body, Subscribe):
+            codes = self.subscribe(cid, body.filters)
+            reply = Suback(body.packet_id, tuple(codes))
+            granted = tuple(f for f, code in zip(body.filters, codes) if code != SUBACK_FAILURE)
+            retained = self.retained_for(granted, cid)
+        elif isinstance(body, Unsubscribe):
+            self.unsubscribe(cid, body.topics)
+            reply = Unsuback(body.packet_id)
+        elif isinstance(body, Pingreq):
+            reply = Pingresp()
+        elif isinstance(body, Disconnect):
+            session.will = None  # graceful close discards the will
+            return [], False  # final location lands in the DISCONNECT row
+        else:
+            logger.warning("%s: unexpected %s from client", cid, packet.packet_type.name)
+            return [], False
+
+        # A publish's ack follows its deliveries; a SUBACK precedes the
+        # retained messages it grants.
+        if reply is not None:
+            writes.append((conn, encode_packet(ControlPacket(reply))))
+        for topic, payload, qos in retained:
+            self._queue_publish(writes, cid, topic, payload, qos, retain=True)
+        if row is not None:
+            self.events.emit(
+                cid,
+                row,
+                geo=update.record.location if update else None,
+                distance_m=update.segment_m if update else None,
+                speed_kmh=update.speed_kmh if update else None,
+            )
+        return writes, True
+
+    def release(self, conn: object) -> list[Write]:
+        """``conn`` has ended: drop its session if it still owns it."""
+        session = self.sessions.get(self.clients.pop(conn, None))
+        if session is None or session.owner is not conn:
+            return []
+        return self._drop(session)
+
+    def _connect(self, conn: object, body: Connect) -> tuple[list[Write], bool]:
+        if body.protocol_level != 4 or not body.client_id:
+            code = CONNACK_BAD_PROTOCOL if body.protocol_level != 4 else CONNACK_ID_REJECTED
+            return [(conn, encode_packet(ControlPacket(Connack(False, code))))], False
+        writes: list[Write] = []
+        old = self.sessions.get(body.client_id)
+        if old is not None and old.owner is not None:
+            # MQTT 3.1.1 takeover: drop the existing session first.
+            writes = self._drop(old)
+            writes.append((old.owner, None))
+        session = self.open_session(body.client_id)
+        session.owner, session.will = conn, body.will
+        self.clients[conn] = body.client_id
+        writes.append((conn, encode_packet(ControlPacket(Connack(False, CONNACK_ACCEPTED)))))
+        self.events.emit(body.client_id, "CONNECT")
+        return writes, True
+
+    def _drop(self, session: SessionState) -> list[Write]:
+        """Close a connected session: its DISCONNECT row, then its will's
+        deliveries (none once it sent DISCONNECT)."""
+        cid = session.client_id
+        record = self.locations.get(cid)
+        self.close_session(cid)
+        self.events.emit(
+            cid,
+            "DISCONNECT",
+            geo=record.location if record else None,
+            distance_m=record.cumulative_distance_m if record else None,
+        )
+        writes: list[Write] = []
+        will = session.will
+        if will is not None:
+            if will.retain:
+                self.set_retained(will.topic, will.payload, will.qos)
+            for d in self.route(cid, will.topic, will.qos, None):
+                self._queue_publish(writes, d.client_id, will.topic, will.payload, d.qos)
+        return writes
+
+    def _queue_publish(
+        self,
+        writes: list[Write],
+        client_id: str,
+        topic: str,
+        payload: bytes,
+        qos: int,
+        geo: GeoLocation | None = None,
+        retain: bool = False,
+    ) -> None:
+        """Encode a publish to a connected client and open its QoS flow.
+        A client out of packet ids misses this copy."""
+        session = self.sessions[client_id]
+        if session.owner is None:
+            return
+        pid = None
+        if qos > 0:
+            try:
+                pid = self.alloc_pid(client_id)
+            except MQTTgError:
+                logger.warning("%s: no free packet id, dropping a copy of %r", client_id, topic)
+                return
+            if session.outbound is None:
+                session.outbound = {}
+            session.outbound[pid] = "await_puback" if qos == 1 else "await_pubrec"
+        pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
+        writes.append((session.owner, encode_packet(pkt)))
 
     # -- location table -----------------------------------------------------
 
@@ -369,6 +547,42 @@ class BrokerState:
                     out.append((topic, payload, min(qos, f.qos)))
         return out
 
+    # -- admin commands -------------------------------------------------------
+
+    def admin_command(self, line: str) -> list[str]:
+        """Reply lines to one admin socket command."""
+        if not line:
+            return []
+        tokens = line.split()
+        command = tokens[0].upper()
+        try:
+            if command == "DUMP-LOCATIONS":
+                rows = [
+                    " ".join(
+                        (
+                            r.client_id,
+                            repr(r.location.latitude),
+                            repr(r.location.longitude),
+                            repr(r.location.elevation),
+                            repr(r.cumulative_distance_m),
+                            "-" if r.last_speed_kmh is None else repr(r.last_speed_kmh),
+                            str(r.updates),
+                        )
+                    )
+                    for r in sorted(self.locations.values(), key=lambda r: r.client_id)
+                ]
+                return rows + ["OK"]
+            if command == "ADD-FENCE":
+                self.add_fence(*parse_fence_spec(tokens[1:]))
+                return ["OK"]
+            if command == "CLEAR-FENCE":
+                if len(tokens) != 3:
+                    return ["ERR expected: CLEAR-FENCE client_id topic"]
+                return [f"OK {self.clear_fence(tokens[1], tokens[2])}"]
+            return [f"ERR unknown command {tokens[0]!r}"]
+        except (ValueError, MQTTgError) as exc:
+            return [f"ERR {exc}"]
+
 
 # ---------------------------------------------------------------------------
 # Fence configuration parsing
@@ -438,40 +652,46 @@ class _Conn:
     def __init__(self, sock: socket.socket, addr):
         self.sock = sock
         self.addr = addr
-        self.client_id: str | None = None
         self.send_lock = threading.Lock()
-        self.will: Will | None = None
+
+    def __repr__(self) -> str:
+        return str(self.addr)
 
     def send(self, data: bytes) -> None:
         with self.send_lock:
             self.sock.sendall(data)
 
-    def close(self) -> None:
+    def shutdown(self) -> None:
+        """End the connection; any thread may. It wakes every thread blocked
+        on the socket but, unlike close, keeps the descriptor, so the next
+        accept cannot reuse it under them."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
+
+    def close(self) -> None:
+        """Only the connection's own thread closes it, once it is done."""
+        self.shutdown()
+        with self.send_lock:
             self.sock.close()
-        except OSError:
-            pass
 
 
 class Broker:
-    """TCP broker front end over BrokerState.
+    """Threaded TCP driver of BrokerState.
 
-    Routing takes its decisions under a single state lock (a consistent
-    snapshot); socket writes happen outside it under per-connection send
-    locks, so per-publisher delivery order is preserved.
+    A thread per connection reads and decodes each frame, hands it to
+    ``state.receive`` under the one state lock, and performs the writes it
+    returns outside the lock under per-connection send locks, so
+    per-publisher delivery order is preserved.
 
-    A connection touches its session only while it owns it. A CONNECT
-    with a client id already in use takes the id over: the old session
-    is dropped, its will is published, and any packet the old connection
-    still sends is ignored. ``clean_session=0`` is served as a clean
-    session. Whatever ends a connection (DISCONNECT, EOF, keep-alive
-    timeout, malformed bytes or an error in the broker) closes only that
-    connection and runs one teardown, which publishes its will unless it
-    sent DISCONNECT.
+    A CONNECT with a client id already in use takes the id over: the old
+    session is dropped, its will is published, and any packet the old
+    connection still sends is ignored. ``clean_session=0`` is served as a
+    clean session. Whatever ends a connection (DISCONNECT, EOF, keep-alive
+    timeout, malformed bytes, a failed or timed-out write to it, or an
+    error in the broker) closes only that connection and publishes its
+    will unless it sent DISCONNECT.
     """
 
     def __init__(
@@ -482,14 +702,12 @@ class Broker:
         admin_port: int | None = 1884,
         event_log: EventLog | None = None,
     ):
-        self.state = BrokerState()
-        self._lock = threading.RLock()
-        self._conns: dict[str, _Conn] = {}
+        self.state = BrokerState(event_log)
+        self._lock = threading.Lock()
         self._host = host
         self._port = port
         self._admin_host = admin_host
         self._admin_port = admin_port
-        self._events = event_log or EventLog()
         self._listener: socket.socket | None = None
         self._admin_listener: socket.socket | None = None
         self._running = False
@@ -514,11 +732,15 @@ class Broker:
     def start(self) -> None:
         self._listener = self._listen(self._host, self._port)
         self._running = True
-        threading.Thread(target=self._accept_loop, daemon=True, name="mqttg-accept").start()
+        threading.Thread(
+            target=self._accept, args=(self._listener, self._serve_client),
+            daemon=True, name="mqttg-accept",
+        ).start()
         if self._admin_port is not None:
             self._admin_listener = self._listen(self._admin_host, self._admin_port)
             threading.Thread(
-                target=self._admin_accept_loop, daemon=True, name="mqttg-admin"
+                target=self._accept, args=(self._admin_listener, self._serve_admin),
+                daemon=True, name="mqttg-admin",
             ).start()
         logger.info("broker listening on %s:%d", self._host, self.port)
 
@@ -539,305 +761,79 @@ class Broker:
                 except OSError:
                     pass
         with self._lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            conn.close()
+            conns = list(self.state.clients)
+        self._write([(conn, None) for conn in conns])
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
+    def _accept(self, listener: socket.socket, serve) -> None:
         while self._running:
             try:
-                sock, addr = self._listener.accept()
+                sock, addr = listener.accept()
             except OSError:
                 return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Conn(sock, addr)
             threading.Thread(
-                target=self._serve_client, args=(conn,), daemon=True, name=f"mqttg-{addr}"
+                target=serve, args=(sock, addr), daemon=True, name=f"mqttg-{addr}"
             ).start()
 
     # -- client connections -----------------------------------------------------
 
-    def _serve_client(self, conn: _Conn) -> None:
+    def _serve_client(self, sock: socket.socket, addr) -> None:
+        conn = _Conn(sock, addr)
         try:
-            conn.sock.settimeout(10.0)
-            frame = read_frame(conn.sock)
-            if frame is None:
-                return
-            packet = decode_packet(frame)
-            if not isinstance(packet.body, Connect):
-                logger.warning("%s: first packet was %s", conn.addr, packet.packet_type.name)
-                return
-            if not self._handle_connect(conn, packet.body):
-                return
-            keep_alive = packet.body.keep_alive
-            conn.sock.settimeout(keep_alive * 1.5 if keep_alive else None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(10.0)  # until CONNECT sets the keep-alive
             while self._running:
-                frame = read_frame(conn.sock)
-                if frame is None or not self._handle_packet(conn, decode_packet(frame)):
+                frame = read_frame(sock)
+                if frame is None:
                     return
+                packet = decode_packet(frame)
+                with self._lock:
+                    writes, keep_open = self.state.receive(conn, packet, time.monotonic())
+                self._write(writes)
+                if not keep_open:
+                    return
+                if isinstance(packet.body, Connect):
+                    keep_alive = packet.body.keep_alive
+                    sock.settimeout(keep_alive * 1.5 if keep_alive else None)
         except socket.timeout:
-            logger.warning("%s: keep-alive timeout", conn.client_id or conn.addr)
+            logger.warning("%s: keep-alive timeout", addr)
         except CodecError as exc:
-            logger.warning("%s: closing connection: %s", conn.client_id or conn.addr, exc)
+            logger.warning("%s: closing connection: %s", addr, exc)
         except OSError:
             pass  # the peer went away
         except Exception:
-            logger.exception("%s: closing connection after an error", conn.client_id or conn.addr)
+            logger.exception("%s: closing connection after an error", addr)
         finally:
-            self._teardown(conn)
+            with self._lock:
+                writes = self.state.release(conn)
+            self._write(writes)
             conn.close()
 
-    def _handle_connect(self, conn: _Conn, body: Connect) -> bool:
-        if body.protocol_level != 4:
-            code = CONNACK_BAD_PROTOCOL
-        elif not body.client_id:
-            code = CONNACK_ID_REJECTED
-        else:
-            code = CONNACK_ACCEPTED
-            with self._lock:
-                old = self._conns.get(body.client_id)
-                # MQTT 3.1.1 takeover: drop the existing session first.
-                will_sends = self._drop_session(old) if old is not None else []
-                conn.client_id = body.client_id
-                conn.will = body.will
-                self._conns[body.client_id] = conn
-                self.state.open_session(body.client_id)
-            self._send_all(will_sends)
-            if old is not None:
-                old.close()
-        conn.send(encode_packet(ControlPacket(Connack(False, code))))
-        if code != CONNACK_ACCEPTED:
-            return False
-        self._events.emit(body.client_id, "CONNECT")
-        return True
-
-    def _teardown(self, conn: _Conn) -> None:
-        """Drop the connection's session if it still owns it."""
-        with self._lock:
-            if conn.client_id is None or self._conns.get(conn.client_id) is not conn:
-                return
-            sends = self._drop_session(conn)
-        self._send_all(sends)
-
-    def _drop_session(self, conn: _Conn) -> list[tuple[_Conn, bytes]]:
-        """Remove a session (lock held); returns its will's deliveries.
-
-        A connection that sent DISCONNECT has no will left to publish."""
-        cid = conn.client_id
-        assert cid is not None
-        self._conns.pop(cid, None)
-        record = self.state.locations.get(cid)
-        self.state.close_session(cid)
-        self._events.emit(
-            cid,
-            "DISCONNECT",
-            geo=record.location if record else None,
-            distance_m=record.cumulative_distance_m if record else None,
-        )
-        will, conn.will = conn.will, None
-        sends: list[tuple[_Conn, bytes]] = []
-        if will is not None:
-            if will.retain:
-                self.state.set_retained(will.topic, will.payload, will.qos)
-            for d in self.state.route(cid, will.topic, will.qos, None):
-                self._queue_publish(sends, d.client_id, will.topic, will.payload, d.qos)
-        return sends
-
-    # -- packet dispatch ----------------------------------------------------------
-
-    def _handle_packet(self, conn: _Conn, packet: ControlPacket) -> bool:
-        """Process one inbound packet; False ends the connection loop."""
-        cid = conn.client_id
-        assert cid is not None
-        body = packet.body
-        geo = packet.geolocation
-        sends: list[tuple[_Conn, bytes]] = []
-        reply = None
-        retained: list[tuple[str, bytes, int]] = []
-
-        with self._lock:
-            if self._conns.get(cid) is not conn:
-                return False  # taken over: the session belongs to a newer connection
-            session = self.state.sessions[cid]
-            update: LocationUpdate | None = None
-            if geo is not None:
-                session.geo_capable = True
-                if geo.is_evaluable:
-                    # Location lands in the table before any routing below.
-                    update = self.state.update_last_location(cid, geo, time.monotonic())
-            row = "LOCATION" if update else None
-
-            if isinstance(body, Publish):
-                if body.qos == 2 and body.packet_id in (session.incoming_qos2 or ()):
-                    row = None  # a resent QoS 2 publish is routed only once
-                else:
-                    row = "PUBLISH"
-                    if body.qos == 2:
-                        if session.incoming_qos2 is None:
-                            session.incoming_qos2 = set()
-                        session.incoming_qos2.add(body.packet_id)
-                    if body.retain:
-                        # Retained copies never keep the geolocation block.
-                        self.state.set_retained(body.topic, body.payload, body.qos)
-                    for d in self.state.route(cid, body.topic, body.qos, geo):
-                        self._queue_publish(
-                            sends, d.client_id, body.topic, body.payload, d.qos,
-                            geo if d.include_geo else None,
-                        )
-                if body.qos == 1:
-                    reply = PubAck(body.packet_id)
-                elif body.qos == 2:
-                    reply = PubRec(body.packet_id)
-            elif isinstance(body, PubAck):
-                if (session.outbound or {}).pop(body.packet_id, None) is None:
-                    logger.debug("%s: PUBACK for unknown pid %d", cid, body.packet_id)
-            elif isinstance(body, PubRec):
-                if (session.outbound or {}).get(body.packet_id) == "await_pubrec":
-                    session.outbound[body.packet_id] = "await_pubcomp"
-                reply = PubRel(body.packet_id)
-            elif isinstance(body, PubRel):
-                if session.incoming_qos2:
-                    session.incoming_qos2.discard(body.packet_id)
-                reply = PubComp(body.packet_id)
-            elif isinstance(body, PubComp):
-                if session.outbound:
-                    session.outbound.pop(body.packet_id, None)
-            elif isinstance(body, Subscribe):
-                codes = self.state.subscribe(cid, body.filters)
-                reply = Suback(body.packet_id, tuple(codes))
-                granted = tuple(
-                    f for f, code in zip(body.filters, codes) if code != SUBACK_FAILURE
-                )
-                retained = self.state.retained_for(granted, cid)
-            elif isinstance(body, Unsubscribe):
-                self.state.unsubscribe(cid, body.topics)
-                reply = Unsuback(body.packet_id)
-            elif isinstance(body, Pingreq):
-                reply = Pingresp()
-            elif isinstance(body, Disconnect):
-                conn.will = None  # graceful close discards the will
-                return False  # final location lands in the DISCONNECT row
-            else:
-                logger.warning("%s: unexpected %s from client", cid, packet.packet_type.name)
-                return False
-
-            # A publish's ack follows its deliveries; a SUBACK precedes the
-            # retained messages it grants.
-            if reply is not None:
-                sends.append((conn, encode_packet(ControlPacket(reply))))
-            for topic, payload, qos in retained:
-                self._queue_publish(sends, cid, topic, payload, qos, retain=True)
-            if row is not None:
-                self._events.emit(
-                    cid,
-                    row,
-                    geo=update.record.location if update else None,
-                    distance_m=update.segment_m if update else None,
-                    speed_kmh=update.speed_kmh if update else None,
-                )
-
-        self._send_all(sends)
-        return True
-
-    def _queue_publish(
-        self,
-        sends: list[tuple[_Conn, bytes]],
-        client_id: str,
-        topic: str,
-        payload: bytes,
-        qos: int,
-        geo: GeoLocation | None = None,
-        retain: bool = False,
-    ) -> None:
-        """Encode a publish to a connected client and open its QoS flow
-        (lock held). A client out of packet ids misses this copy."""
-        target = self._conns.get(client_id)
-        if target is None:
-            return
-        pid = None
-        if qos > 0:
-            try:
-                pid = self.state.alloc_pid(client_id)
-            except MQTTgError:
-                logger.warning("%s: no free packet id, dropping a copy of %r", client_id, topic)
-                return
-            session = self.state.sessions[client_id]
-            if session.outbound is None:
-                session.outbound = {}
-            session.outbound[pid] = "await_puback" if qos == 1 else "await_pubrec"
-        pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
-        sends.append((target, encode_packet(pkt)))
-
     @staticmethod
-    def _send_all(sends: list[tuple[_Conn, bytes]]) -> None:
-        for target, data in sends:
-            try:
-                target.send(data)
-            except OSError:
-                pass  # the receiver's own thread will tear the session down
+    def _write(writes: list[Write]) -> None:
+        """Perform the core's writes in order. A write that fails or times
+        out shuts its target down; the target's own thread then releases it."""
+        for target, data in writes:
+            if data is not None:
+                try:
+                    target.send(data)
+                    continue
+                except OSError:
+                    pass
+            target.shutdown()
 
     # -- admin socket -----------------------------------------------------------
 
-    def _admin_accept_loop(self) -> None:
-        assert self._admin_listener is not None
-        while self._running:
-            try:
-                sock, addr = self._admin_listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_admin, args=(sock,), daemon=True, name=f"mqttg-admin-{addr}"
-            ).start()
-
-    def _serve_admin(self, sock: socket.socket) -> None:
+    def _serve_admin(self, sock: socket.socket, addr) -> None:
         try:
             with sock, sock.makefile("rw", encoding="utf-8", newline="\n") as fh:
                 for line in fh:
-                    for reply in self._admin_command(line.strip()):
+                    with self._lock:
+                        replies = self.state.admin_command(line.strip())
+                    for reply in replies:
                         fh.write(reply + "\n")
                     fh.flush()
         except (ConnectionError, OSError):
             pass
-
-    def _admin_command(self, line: str) -> list[str]:
-        if not line:
-            return []
-        tokens = line.split()
-        command = tokens[0].upper()
-        try:
-            if command == "DUMP-LOCATIONS":
-                with self._lock:
-                    records = list(self.state.locations.values())
-                rows = [
-                    " ".join(
-                        (
-                            r.client_id,
-                            repr(r.location.latitude),
-                            repr(r.location.longitude),
-                            repr(r.location.elevation),
-                            repr(r.cumulative_distance_m),
-                            "-" if r.last_speed_kmh is None else repr(r.last_speed_kmh),
-                            str(r.updates),
-                        )
-                    )
-                    for r in sorted(records, key=lambda r: r.client_id)
-                ]
-                return rows + ["OK"]
-            if command == "ADD-FENCE":
-                owner, topic, fence = parse_fence_spec(tokens[1:])
-                with self._lock:
-                    self.state.add_fence(owner, topic, fence)
-                return ["OK"]
-            if command == "CLEAR-FENCE":
-                if len(tokens) != 3:
-                    return ["ERR expected: CLEAR-FENCE client_id topic"]
-                with self._lock:
-                    removed = self.state.clear_fence(tokens[1], tokens[2])
-                return [f"OK {removed}"]
-            return [f"ERR unknown command {tokens[0]!r}"]
-        except (ValueError, MQTTgError) as exc:
-            return [f"ERR {exc}"]
 
 
 def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list[str]:

@@ -1,0 +1,118 @@
+"""The sans-IO broker core without sockets.
+
+BrokerState.receive and BrokerState.release are driven with plain string
+handles; the writes they return are decoded back to packet bodies, and
+the event rows are read from a StringIO log.
+"""
+
+import csv
+import io
+
+from mqttg.broker import BrokerState
+from mqttg.codec import (
+    Connack,
+    Connect,
+    ControlPacket,
+    Disconnect,
+    Pingreq,
+    PubComp,
+    PubRec,
+    PubRel,
+    Publish,
+    Subscribe,
+    TopicFilter,
+    Will,
+    decode_packet,
+)
+from mqttg.eventlog import EventLog
+
+
+def make_core() -> tuple[BrokerState, io.StringIO]:
+    log = io.StringIO()
+    return BrokerState(EventLog([log])), log
+
+
+def rows(log: io.StringIO) -> list[tuple[str, str]]:
+    """(client id, event) of each row after the header."""
+    return [(r[1], r[2]) for r in list(csv.reader(log.getvalue().splitlines()))[1:]]
+
+
+def bodies(writes):
+    return [(conn, None if data is None else decode_packet(data).body) for conn, data in writes]
+
+
+def send(state, conn, body, now=0.0):
+    writes, keep_open = state.receive(conn, ControlPacket(body), now)
+    return bodies(writes), keep_open
+
+
+def connect(state, conn, client_id, will=None):
+    writes, keep_open = send(state, conn, Connect(client_id=client_id, will=will))
+    assert keep_open and writes[-1] == (conn, Connack(False, 0))
+    return writes
+
+
+def test_first_packet_must_be_connect():
+    state, log = make_core()
+    assert send(state, "a", Pingreq()) == ([], False)
+    assert state.sessions == {} and state.clients == {}
+    assert rows(log) == []
+
+
+def test_refused_connects_open_no_session():
+    state, log = make_core()
+    assert send(state, "a", Connect(client_id="x", protocol_level=3)) == (
+        [("a", Connack(False, 0x01))],
+        False,
+    )
+    assert send(state, "b", Connect(client_id="")) == ([("b", Connack(False, 0x02))], False)
+    assert state.sessions == {} and state.clients == {}
+    assert rows(log) == []
+
+
+def test_takeover_writes_in_order_and_ignores_the_old_handle():
+    state, log = make_core()
+    connect(state, "w", "watcher")
+    send(state, "w", Subscribe(1, (TopicFilter("gone/x", 0),)))
+    connect(state, "old", "x", will=Will("gone/x", b"bye"))
+    before = len(rows(log))
+
+    # The old session's DISCONNECT row and its will's deliveries, then the
+    # old connection's close, the new CONNACK and the new CONNECT row.
+    writes = connect(state, "new", "x")
+    assert writes == [
+        ("w", Publish("gone/x", b"bye")),
+        ("old", None),
+        ("new", Connack(False, 0)),
+    ]
+    assert rows(log)[before:] == [("x", "DISCONNECT"), ("x", "CONNECT")]
+
+    session = state.sessions["x"]
+    assert send(state, "old", Subscribe(2, (TopicFilter("t", 0),))) == ([], False)
+    assert session.subscriptions == {} and state.sessions["x"] is session
+    assert state.release("old") == []
+    assert state.sessions["x"] is session and state.clients == {"w": "watcher", "new": "x"}
+
+
+def test_disconnect_discards_the_will_and_eof_publishes_it():
+    state, log = make_core()
+    connect(state, "w", "watcher")
+    send(state, "w", Subscribe(1, (TopicFilter("gone/+", 0),)))
+    connect(state, "p", "polite", will=Will("gone/polite", b"bye"))
+    connect(state, "c", "crashed", will=Will("gone/crashed", b"bye"))
+
+    assert send(state, "p", Disconnect()) == ([], False)
+    assert state.release("p") == []
+    assert bodies(state.release("c")) == [("w", Publish("gone/crashed", b"bye"))]
+    assert "polite" not in state.sessions and "crashed" not in state.sessions
+    assert rows(log)[-2:] == [("polite", "DISCONNECT"), ("crashed", "DISCONNECT")]
+
+
+def test_qos2_publish_then_release():
+    state, log = make_core()
+    connect(state, "a", "a")
+    assert send(state, "a", Publish("t", b"m", 2, packet_id=7)) == ([("a", PubRec(7))], True)
+    assert state.sessions["a"].incoming_qos2 == {7}
+    assert send(state, "a", PubRel(7)) == ([("a", PubComp(7))], True)
+    assert state.sessions["a"].incoming_qos2 == set()
+    assert rows(log) == [("a", "CONNECT"), ("a", "PUBLISH")]

@@ -2,6 +2,7 @@
 
 import csv
 import socket
+import sys
 import threading
 import time
 
@@ -11,6 +12,7 @@ from mqttg import broker as broker_module
 from mqttg.broker import admin_request
 from mqttg.client import ClientConfig, GeoMode, MqttgClient
 from mqttg.codec import (
+    Connack,
     Connect,
     ConstraintKind,
     ControlPacket,
@@ -23,6 +25,8 @@ from mqttg.codec import (
     PubRel,
     Publish,
     Suback,
+    Subscribe,
+    TopicFilter,
     Will,
     decode_packet,
     encode_packet,
@@ -326,6 +330,109 @@ class TestSessionRules:
             release.set()
             old.close()
             new.close()
+
+    def test_takeover_logs_the_first_connect_before_its_disconnect(self, broker, monkeypatch):
+        encode = broker_module.encode_packet
+        held, release = threading.Event(), threading.Event()
+
+        def held_connack(packet):
+            if isinstance(packet.body, Connack) and not held.is_set():
+                held.set()
+                release.wait(1.0)  # the first CONNECT is decided, its row not yet written
+            return encode(packet)
+
+        monkeypatch.setattr(broker_module, "encode_packet", held_connack)
+        first = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        second = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            first.sendall(encode(ControlPacket(Connect(client_id="x", keep_alive=5))))
+            assert held.wait(3.0)
+            second.sendall(encode(ControlPacket(Connect(client_id="x", keep_alive=5))))
+            assert decode_packet(read_frame(second)).body.return_code == 0
+            release.set()
+            rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
+            assert [r[2] for r in rows if r[1] == "x"] == ["CONNECT", "DISCONNECT", "CONNECT"]
+        finally:
+            release.set()
+            first.close()
+            second.close()
+
+    def test_takeover_storm_pairs_each_connect_with_one_disconnect(self, broker):
+        rounds, workers = 10, 6
+
+        def storm():
+            for _ in range(rounds):
+                with socket.create_connection(("127.0.0.1", broker.port), timeout=3.0) as sock:
+                    sock.sendall(encode_packet(ControlPacket(Connect(client_id="x", keep_alive=5))))
+                    try:
+                        read_frame(sock)  # its CONNACK, or EOF once taken over
+                    except OSError:
+                        pass
+
+        threads = [threading.Thread(target=storm) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        deadline = time.monotonic() + 3.0
+        while broker.state.clients and time.monotonic() < deadline:
+            time.sleep(0.05)
+        with broker._lock:
+            assert broker.state.clients == {} and "x" not in broker.state.sessions
+        rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
+        assert [r[2] for r in rows if r[1] == "x"] == ["CONNECT", "DISCONNECT"] * (rounds * workers)
+
+    def test_subscriber_that_stops_reading_is_closed_and_its_will_published(self, broker):
+        """A subscriber that pings but never reads: the first write to it
+        that times out (1.5 x keep-alive) closes it and publishes its will,
+        so the publisher is held once, not once per copy."""
+        watcher = mk_client(broker, "watcher")
+        pub = mk_client(broker, "pub")
+        slow = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        stop = threading.Event()
+
+        def ping():
+            while not stop.wait(0.4):
+                try:
+                    slow.sendall(encode_packet(ControlPacket(Pingreq())))
+                except OSError:
+                    return
+
+        pinger = threading.Thread(target=ping, daemon=True)
+        try:
+            watcher.subscribe("will/slow")
+            will = Will("will/slow", b"gone")
+            slow.sendall(encode_packet(ControlPacket(Connect(client_id="slow", keep_alive=1, will=will))))
+            assert decode_packet(read_frame(slow)).body.return_code == 0
+            slow.sendall(encode_packet(ControlPacket(Subscribe(1, (TopicFilter("big", 0),)))))
+            assert decode_packet(read_frame(slow)).body == Suback(1, (0,))
+            pinger.start()
+            payload = bytes(200_000)
+            deadline = time.monotonic() + 10.0
+            message = None
+            while message is None and time.monotonic() < deadline:
+                pub.publish("big", payload)
+                message = watcher.receive(timeout=0)
+            if message is None:
+                message = watcher.receive(timeout=max(0.0, deadline - time.monotonic()))
+            assert message is not None and message.payload == b"gone"
+            started = time.monotonic()
+            for _ in range(5):
+                pub.publish("big", payload, qos=1)  # returns once the broker has routed it
+            assert time.monotonic() - started < 1.5
+        finally:
+            stop.set()
+            if pinger.is_alive():
+                pinger.join(3.0)
+            slow.close()
+            pub.disconnect()
+            watcher.disconnect()
 
     def test_resent_qos2_publish_is_routed_once(self, broker):
         sub = mk_client(broker, "sub")

@@ -1,29 +1,36 @@
 """The names the benchmark's tracer wraps must exist in the broker.
 
-loopbench/tracing.py replaces module globals of mqttg.broker and methods
-of BrokerState with counting and timing wrappers. A rename in the broker
-would break a traced benchmark run (--trace 1) while every other test
-stays green, so this test reads the tracer's source, without importing
-or running it, and checks each wrapped name. A wrapped global or method
-the broker no longer calls would make its traced metric read zero, so the
-broker's source is parsed too, to check that each one is still called.
+loopbench/tracing.py replaces module globals of mqttg.broker, methods of
+BrokerState, netio.recv_exact and EventLog.emit with counting and timing
+wrappers. A rename in the broker would break a traced benchmark run
+(--trace 1) while every other test stays green, so this test reads the
+tracer's source, without importing or running it, and checks each wrapped
+name. A wrapped global or method the broker no longer calls would make its
+traced metric read zero, so the broker's source is parsed too, to check
+that each one is still called.
 """
 
 import ast
 from pathlib import Path
 
 import mqttg.broker as broker
+import mqttg.netio as netio
 from mqttg.broker import BrokerState
+from mqttg.eventlog import EventLog
 
 TRACING = Path(__file__).resolve().parent.parent / "loopbench" / "tracing.py"
 
 
+def function_node(source: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
 def wrapped_names() -> tuple[set[str], set[str]]:
     """(mqttg.broker globals, BrokerState methods) that Tracer.install wraps."""
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    install = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "install"
-    )
+    install = function_node(TRACING, "install")
     module_globals: set[str] = set()
     methods: set[str] = set()
     for node in ast.walk(install):
@@ -90,3 +97,23 @@ def test_wrapped_broker_methods_are_called():
     _, methods = wrapped_names()
     uncalled = methods - called_attributes(Path(broker.__file__))
     assert not uncalled, f"mqttg.broker never calls the BrokerState methods {sorted(uncalled)}"
+
+
+def test_wrapped_frame_and_log_names_exist_and_are_called():
+    install = function_node(TRACING, "install")
+    assigned = {
+        (target.value.id, target.attr)
+        for node in ast.walk(install)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+    }
+    assert {("netio", "recv_exact"), ("EventLog", "emit")} <= assigned
+    assert callable(getattr(netio, "recv_exact", None)), "mqttg.netio.recv_exact"
+    assert callable(getattr(EventLog, "emit", None)), "EventLog.emit"
+    read_frame = function_node(Path(netio.__file__), "read_frame")
+    assert any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "recv_exact"
+        for call in ast.walk(read_frame)
+    ), "netio.read_frame never calls recv_exact"
+    assert "emit" in called_attributes(Path(broker.__file__)), "mqttg.broker never calls .emit("
