@@ -34,7 +34,7 @@ from .errors import (
     ValueTooLarge,
 )
 from .geo import coordinates_valid
-from .topics import topic_filter_valid, topic_name_valid
+from .topics import topic_filter_valid, topic_name_bytes, topic_name_valid
 
 MAX_REMAINING_LENGTH = 268_435_455
 GEO_FLAG = 0x04
@@ -75,6 +75,9 @@ def _f32(value: float) -> float:
     return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
+_new = object.__new__
+
+
 @dataclass(frozen=True)
 class GeoLocation:
     """The 21-byte version/latitude/longitude/elevation record.
@@ -93,6 +96,21 @@ class GeoLocation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elevation", _f32(self.elevation))
+
+    @classmethod
+    def _decoded(
+        cls, version: int, latitude: float, longitude: float, elevation: float, raw: bytes | None
+    ) -> GeoLocation:
+        """A block just read off the wire, whose elevation already is an
+        f32: the same object as ``GeoLocation(...)``, without the rounding."""
+        geo = _new(cls)
+        fields = geo.__dict__
+        fields["version"] = version
+        fields["latitude"] = latitude
+        fields["longitude"] = longitude
+        fields["elevation"] = elevation
+        fields["raw"] = raw
+        return geo
 
     @property
     def is_evaluable(self) -> bool:
@@ -286,15 +304,21 @@ def decode_geolocation(data: bytes) -> GeoLocation:
         raise MalformedPacket(
             f"geolocation block truncated: {len(data)} of {GEO_BLOCK_SIZE} bytes"
         )
-    version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data)
+    return _geolocation_at(data, 0)
+
+
+def _geolocation_at(data: bytes, pos: int) -> GeoLocation:
+    """The block at ``data[pos:]``, which holds at least 21 bytes."""
+    version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data, pos)
     if version == 1:
         if not coordinates_valid(latitude, longitude):
             raise InvalidCoordinates(
                 f"latitude {latitude!r} / longitude {longitude!r} out of range"
             )
-        return GeoLocation(version, latitude, longitude, elevation)
+        return GeoLocation._decoded(1, latitude, longitude, elevation, None)
     # Unknown layout versions are preserved verbatim and flagged unevaluable.
-    return GeoLocation(version, latitude, longitude, elevation, raw=bytes(data[:GEO_BLOCK_SIZE]))
+    raw = bytes(data[pos : pos + GEO_BLOCK_SIZE])
+    return GeoLocation._decoded(version, latitude, longitude, elevation, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +358,43 @@ def decode_remaining_length(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 
 class _Reader:
+    """Checked reads from ``data``, starting at ``pos``, with no copy of
+    the body: fixed-size fields are unpacked in place."""
+
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
-    def take(self, n: int) -> bytes:
-        if self.remaining() < n:
+    def _need(self, n: int) -> int:
+        """The position of the next ``n`` bytes, which it consumes."""
+        pos = self.pos
+        if len(self.data) - pos < n:
             raise MalformedPacket(f"packet truncated: wanted {n} bytes, have {self.remaining()}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        self.pos = pos + n
+        return pos
+
+    def take(self, n: int) -> bytes:
+        pos = self._need(n)
+        return self.data[pos : pos + n]
+
+    def rest(self) -> bytes:
+        pos, self.pos = self.pos, len(self.data)
+        return self.data[pos:]
 
     def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack(self.take(layout.size))
+        return layout.unpack_from(self.data, self._need(layout.size))
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._need(1)]
 
     def u16(self) -> int:
-        return self.unpack(_U16)[0]
+        pos = self._need(2)
+        return (self.data[pos] << 8) | self.data[pos + 1]
 
     def string(self) -> str:
         raw = self.take(self.u16())
@@ -373,7 +410,7 @@ class _Reader:
         return self.take(self.u16())
 
     def geolocation(self) -> GeoLocation:
-        return decode_geolocation(self.take(GEO_BLOCK_SIZE))
+        return _geolocation_at(self.data, self._need(GEO_BLOCK_SIZE))
 
     def expect_end(self, what: str) -> None:
         if self.remaining():
@@ -401,10 +438,14 @@ def _u16(value: int, what: str) -> bytes:
     return _U16.pack(value)
 
 
-def _packet_id(value: int | None, what: str) -> bytes:
+def _checked_packet_id(value: int | None, what: str) -> int:
     if value is None or not 1 <= value <= 65535:
         raise EncodeError(f"{what} requires a packet identifier in [1, 65535], got {value}")
-    return _U16.pack(value)
+    return value
+
+
+def _packet_id(value: int | None, what: str) -> bytes:
+    return _U16.pack(_checked_packet_id(value, what))
 
 
 def _read_packet_id(reader: _Reader, what: str) -> int:
@@ -563,7 +604,7 @@ def _encode_return_codes(body: Suback) -> bytes:
 
 
 def _decode_return_codes(reader: _Reader) -> tuple:
-    codes = tuple(reader.take(reader.remaining()))
+    codes = tuple(reader.rest())
     if not codes:
         raise MalformedPacket("SUBACK with no return codes")
     for code in codes:
@@ -622,7 +663,12 @@ _PACKETS = (
     _Spec(PacketType.DISCONNECT, Disconnect, 0x0, True, False, _encode_nothing, _decode_nothing),
 )
 _BY_BODY = {spec.body: spec for spec in _PACKETS}
-_BY_TYPE = {spec.ptype: spec for spec in _PACKETS}
+#: By the type nibble of the first byte: its PacketType (None for the
+#: reserved 0) and its _Spec (None for 0, PUBLISH and PUBLISHG).
+_TYPES = (None, *PacketType)
+_SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
+#: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
+_ID_FRAME = struct.Struct(">BBH")
 
 
 # ---------------------------------------------------------------------------
@@ -638,38 +684,54 @@ def encode_packet(packet: ControlPacket) -> bytes:
     """
     body, geo = packet.body, packet.geolocation
     if isinstance(body, Publish):
-        ptype = PacketType.PUBLISH if geo is None else PacketType.PUBLISHG
-        flags, rest = _encode_publish(body, b"" if geo is None else encode_geolocation(geo))
-    else:
-        spec = _BY_BODY[type(body)]
-        ptype, flags, rest = spec.ptype, spec.flags, b""
-        if geo is not None:
-            if not spec.geo:
-                raise EncodeError(f"{ptype.name} never carries geolocation")
-            flags |= GEO_FLAG
-            rest = encode_geolocation(geo)
-        if spec.packet_id:
-            rest = _packet_id(body.packet_id, ptype.name) + rest
-        rest += spec.encode(body)
-    return bytes([(ptype << 4) | flags]) + encode_remaining_length(len(rest)) + rest
+        return _encode_publish(body, geo)
+    spec = _BY_BODY[type(body)]
+    first = (spec.ptype << 4) | spec.flags
+    if geo is None and spec.encode is _encode_nothing:
+        # The fixed-size replies: an identifier or nothing at all.
+        if not spec.packet_id:
+            return bytes((first, 0))
+        return _ID_FRAME.pack(first, 2, _checked_packet_id(body.packet_id, spec.ptype.name))
+    rest = b""
+    if geo is not None:
+        if not spec.geo:
+            raise EncodeError(f"{spec.ptype.name} never carries geolocation")
+        first |= GEO_FLAG
+        rest = encode_geolocation(geo)
+    if spec.packet_id:
+        rest = _packet_id(body.packet_id, spec.ptype.name) + rest
+    rest += spec.encode(body)
+    return _fixed_header(first, len(rest)) + rest
 
 
-def _encode_publish(body: Publish, geo_bytes: bytes) -> tuple[int, bytes]:
-    if not topic_name_valid(body.topic):
+def _fixed_header(first: int, remaining: int) -> bytes:
+    if remaining < 128:
+        return bytes((first, remaining))
+    return bytes((first,)) + encode_remaining_length(remaining)
+
+
+def _encode_publish(body: Publish, geo: GeoLocation | None) -> bytes:
+    qos = body.qos
+    raw = topic_name_bytes(body.topic)
+    if raw is None:
         raise EncodeError(f"invalid publish topic {body.topic!r}")
-    if body.qos not in (0, 1, 2):
-        raise EncodeError(f"QoS {body.qos} not in (0, 1, 2)")
-    if body.qos == 0 and body.dup:
+    if qos not in (0, 1, 2):
+        raise EncodeError(f"QoS {qos} not in (0, 1, 2)")
+    if qos == 0 and body.dup:
         raise EncodeError("DUP must be 0 on a QoS 0 publish")
-    if body.qos == 0 and body.packet_id is not None:
+    if qos == 0 and body.packet_id is not None:
         raise EncodeError("packet identifier requires QoS > 0")
-    out = bytearray(_string(body.topic))
-    if body.qos > 0:
-        out += _packet_id(body.packet_id, "publish with QoS > 0")
-    out += geo_bytes
-    out += body.payload
-    flags = (body.dup << 3) | (body.qos << 1) | int(body.retain)
-    return flags, bytes(out)
+    pid = _packet_id(body.packet_id, "publish with QoS > 0") if qos else b""
+    if geo is None:
+        first, block = (PacketType.PUBLISH << 4), b""
+    else:
+        first, block = (PacketType.PUBLISHG << 4), encode_geolocation(geo)
+    first |= (body.dup << 3) | (qos << 1) | int(body.retain)
+    payload = body.payload
+    remaining = 2 + len(raw) + len(pid) + len(block) + len(payload)
+    return b"".join(
+        (_fixed_header(first, remaining), _U16.pack(len(raw)), raw, pid, block, payload)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +739,23 @@ def _encode_publish(body: Publish, geo_bytes: bytes) -> tuple[int, bytes]:
 # ---------------------------------------------------------------------------
 
 
-def decode_fixed_header(data: bytes) -> tuple[FixedHeader, int]:
-    """Parse the first byte and remaining length; returns (header, body offset)."""
+def _read_fixed_header(data: bytes) -> tuple[int, int, int]:
+    """(first byte, remaining length, body offset) of a frame whose type
+    is not the reserved 0."""
     if not data:
         raise MalformedPacket("empty input")
-    type_code = data[0] >> 4
-    if type_code == 0:
+    first = data[0]
+    if not first >> 4:
         raise ProtocolViolation("packet type 0 is invalid")
-    remaining, offset = decode_remaining_length(data, 1)
-    return FixedHeader(PacketType(type_code), data[0] & 0x0F, remaining), offset
+    if len(data) > 1 and data[1] < 0x80:
+        return first, data[1], 2
+    return (first, *decode_remaining_length(data, 1))
+
+
+def decode_fixed_header(data: bytes) -> tuple[FixedHeader, int]:
+    """Parse the first byte and remaining length; returns (header, body offset)."""
+    first, remaining, offset = _read_fixed_header(data)
+    return FixedHeader(_TYPES[first >> 4], first & 0x0F, remaining), offset
 
 
 def decode_packet(data: bytes) -> ControlPacket:
@@ -695,29 +765,27 @@ def decode_packet(data: bytes) -> ControlPacket:
     trailing bytes, ProtocolViolation on reserved-flag or packet-rule
     breaches, InvalidCoordinates on out-of-range version-1 coordinates.
     """
-    header, offset = decode_fixed_header(data)
-    if len(data) - offset != header.remaining_length:
+    first, remaining, offset = _read_fixed_header(data)
+    if len(data) - offset != remaining:
         raise MalformedPacket(
-            f"remaining length {header.remaining_length} does not match "
-            f"{len(data) - offset} body bytes"
+            f"remaining length {remaining} does not match {len(data) - offset} body bytes"
         )
-    reader = _Reader(data[offset:])
-    ptype, flags = header.packet_type, header.flags
+    reader = _Reader(data, offset)
+    type_code, flags = first >> 4, first & 0x0F
+    spec = _SPECS[type_code]
+    if spec is None:
+        return _decode_publish(type_code == PacketType.PUBLISHG, flags, reader)
 
-    if ptype is PacketType.PUBLISH or ptype is PacketType.PUBLISHG:
-        return _decode_publish(ptype, flags, reader)
-
-    spec = _BY_TYPE[ptype]
     if flags != spec.flags and not (spec.geo and flags == spec.flags | GEO_FLAG):
-        raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {ptype.name}")
-    head = (_read_packet_id(reader, ptype.name),) if spec.packet_id else ()
+        raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {spec.ptype.name}")
+    head = (_read_packet_id(reader, spec.ptype.name),) if spec.packet_id else ()
     geo = reader.geolocation() if flags & GEO_FLAG else None
     body = spec.body(*head, *spec.decode(reader))
-    reader.expect_end(ptype.name)
+    reader.expect_end(spec.ptype.name)
     return ControlPacket(body, geo)
 
 
-def _decode_publish(ptype: PacketType, flags: int, reader: _Reader) -> ControlPacket:
+def _decode_publish(geo_type: bool, flags: int, reader: _Reader) -> ControlPacket:
     dup = bool(flags & 0x08)
     qos = (flags >> 1) & 0x03
     retain = bool(flags & 0x01)
@@ -729,7 +797,6 @@ def _decode_publish(ptype: PacketType, flags: int, reader: _Reader) -> ControlPa
     if not topic_name_valid(topic):
         raise ProtocolViolation(f"invalid publish topic {topic!r}")
     packet_id = _read_packet_id(reader, "publish with QoS > 0") if qos > 0 else None
-    geo = reader.geolocation() if ptype is PacketType.PUBLISHG else None
-    payload = reader.take(reader.remaining())
-    body = Publish(topic, payload, qos, retain, dup, packet_id)
+    geo = reader.geolocation() if geo_type else None
+    body = Publish(topic, reader.rest(), qos, retain, dup, packet_id)
     return ControlPacket(body, geo)

@@ -2,33 +2,52 @@
 
 One row per connect/disconnect/publish/location event:
 timestamp, client_id, event, lat, lon, elev, distance_m, speed_kmh.
-Geolocation columns stay empty when the packet carried none.
+The timestamp is UTC with milliseconds, as
+``datetime.isoformat(timespec="milliseconds")`` writes it
+(``2024-05-01T12:00:00.123+00:00``). Geolocation columns stay empty when
+the packet carried none.
 """
 
 from __future__ import annotations
 
 import csv
 import threading
-from datetime import datetime, timezone
+import time
+from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable
 
 from .codec import GeoLocation
 
 COLUMNS = ("timestamp", "client_id", "event", "lat", "lon", "elev", "distance_m", "speed_kmh")
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
 
 class EventLog:
     def __init__(self, streams: Iterable[IO[str]] = (), write_header: bool = True):
-        self._streams = list(streams)
+        self._writers = [(csv.writer(stream), stream.flush) for stream in streams]
         self._lock = threading.Lock()
+        # (a whole second since the epoch, its "YYYY-MM-DDTHH:MM:SS"), one
+        # tuple so that a racing emit never pairs a second with another's prefix
+        self._second = (None, "")
         if write_header:
             self._write(COLUMNS)
 
     def _write(self, row) -> None:
         with self._lock:
-            for stream in self._streams:
-                csv.writer(stream).writerow(row)
-                stream.flush()
+            for writer, flush in self._writers:
+                writer.writerow(row)
+                flush()
+
+    def _timestamp(self) -> str:
+        """The wall clock, floored to the millisecond, as datetime.now(timezone.utc)
+        .isoformat(timespec="milliseconds") writes it."""
+        second, ns = divmod(time.time_ns(), 1_000_000_000)
+        cached, prefix = self._second
+        if cached != second:
+            prefix = (_EPOCH + timedelta(seconds=second)).isoformat(timespec="seconds")[:19]
+            self._second = (second, prefix)
+        return f"{prefix}.{ns // 1_000_000:03d}+00:00"
 
     def emit(
         self,
@@ -38,17 +57,19 @@ class EventLog:
         distance_m: float | None = None,
         speed_kmh: float | None = None,
     ) -> None:
-        def num(value):
-            return "" if value is None else f"{value:.6f}"
-
-        row = (
-            datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
-            client_id,
-            event,
-            num(geo.latitude if geo else None),
-            num(geo.longitude if geo else None),
-            num(geo.elevation if geo else None),
-            num(distance_m),
-            num(speed_kmh),
+        if geo is None:
+            lat = lon = elev = ""
+        else:
+            lat, lon, elev = f"{geo.latitude:.6f}", f"{geo.longitude:.6f}", f"{geo.elevation:.6f}"
+        self._write(
+            (
+                self._timestamp(),
+                client_id,
+                event,
+                lat,
+                lon,
+                elev,
+                "" if distance_m is None else f"{distance_m:.6f}",
+                "" if speed_kmh is None else f"{speed_kmh:.6f}",
+            )
         )
-        self._write(row)

@@ -5,13 +5,18 @@ from __future__ import annotations
 from typing import Any
 
 
+def topic_name_bytes(topic: str) -> bytes | None:
+    """The UTF-8 bytes of a publishable topic (non-empty, no wildcards, no
+    NUL, fits a string), or None for any other topic."""
+    if not topic or "\x00" in topic or "+" in topic or "#" in topic:
+        return None
+    raw = topic.encode("utf-8")
+    return raw if len(raw) <= 65535 else None
+
+
 def topic_name_valid(topic: str) -> bool:
     """A publishable topic: non-empty, no wildcards, no NUL, fits a string."""
-    if not topic or "\x00" in topic:
-        return False
-    if "+" in topic or "#" in topic:
-        return False
-    return len(topic.encode("utf-8")) <= 65535
+    return topic_name_bytes(topic) is not None
 
 
 def topic_filter_valid(topic_filter: str) -> bool:
@@ -54,12 +59,13 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
 
 class _Node:
     """One filter level: children keyed by the next level ('+' and '#'
-    included) and, where a filter ends, its subscribers."""
+    included) and, where a filter ends, its subscribers. Both are made on
+    first use (the root's children at once): most nodes are leaves."""
 
     __slots__ = ("children", "subs")
 
     def __init__(self) -> None:
-        self.children: dict[str, _Node] = {}
+        self.children: dict[str, _Node] | None = None
         self.subs: dict[str, Any] | None = None
 
 
@@ -71,14 +77,18 @@ class TopicTree:
 
     def __init__(self) -> None:
         self.root = _Node()
+        self.root.children = {}
 
     def add(self, topic_filter: str, client_id: str, value: Any) -> None:
         """Store value for (filter, client), replacing any previous one."""
         node = self.root
         for level in topic_filter.split("/"):
-            child = node.children.get(level)
+            children = node.children
+            if children is None:
+                children = node.children = {}
+            child = children.get(level)
             if child is None:
-                child = node.children[level] = _Node()
+                child = children[level] = _Node()
             node = child
         if node.subs is None:
             node.subs = {}
@@ -89,7 +99,8 @@ class TopicTree:
         levels = topic_filter.split("/")
         path = [self.root]
         for level in levels:
-            node = path[-1].children.get(level)
+            children = path[-1].children
+            node = children.get(level) if children is not None else None
             if node is None:
                 return
             path.append(node)
@@ -118,9 +129,13 @@ class TopicTree:
         if i == len(levels):
             if node.subs is not None:
                 out.append(node.subs)
+            if children is None:
+                return
             multi = children.get("#")  # 'a/#' also matches 'a'
             if multi is not None and multi.subs is not None:
                 out.append(multi.subs)
+            return
+        if children is None:
             return
         if not dollar:
             multi = children.get("#")

@@ -8,12 +8,16 @@ the event rows are read from a StringIO log.
 import csv
 import io
 
+import mqttg.broker
 from mqttg.broker import BrokerState
 from mqttg.codec import (
     Connack,
     Connect,
+    ConstraintKind,
     ControlPacket,
     Disconnect,
+    GeoConstraint,
+    GeoLocation,
     Pingreq,
     PubComp,
     PubRec,
@@ -23,6 +27,7 @@ from mqttg.codec import (
     TopicFilter,
     Will,
     decode_packet,
+    encode_packet,
 )
 from mqttg.eventlog import EventLog
 
@@ -116,3 +121,73 @@ def test_qos2_publish_then_release():
     assert send(state, "a", PubRel(7)) == ([("a", PubComp(7))], True)
     assert state.sessions["a"].incoming_qos2 == set()
     assert rows(log) == [("a", "CONNECT"), ("a", "PUBLISH")]
+
+
+def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
+    state, _ = make_core()
+    here = GeoLocation(1, 45.0, 7.0, 250.0)
+    connect(state, "p", "pub")
+    subscriptions = {
+        "q0": TopicFilter("fleet/#", 0),  # plain, QoS 0
+        "geo1": TopicFilter("fleet/+", 1),  # geo-capable, QoS 1
+        "radius1": TopicFilter(
+            "fleet/truck", 1, GeoConstraint(ConstraintKind.INSIDE_RADIUS, 5000.0, 45.01, 7.0)
+        ),  # matched through its radius, QoS 1
+        "q2": TopicFilter("fleet/truck", 2),  # plain, QoS 2
+    }
+    for conn, f in subscriptions.items():
+        connect(state, conn, conn)
+        send(state, conn, Subscribe(1, (f,)))
+    state.receive("geo1", ControlPacket(Pingreq(), here), 0.0)
+    state.sessions["radius1"].next_pid = 400  # packet ids that differ per subscriber
+    state.sessions["q2"].next_pid = 65535
+
+    encodes = []
+
+    def counted(packet):
+        encodes.append(packet)
+        return encode_packet(packet)
+
+    monkeypatch.setattr(mqttg.broker, "encode_packet", counted)
+    publish = Publish("fleet/truck", b"cargo", 2, retain=True, packet_id=9)
+    writes, _ = state.receive("p", ControlPacket(publish, here), 0.0)
+
+    def expected(conn, qos, geo, payload=b"cargo", retain=False):
+        """encode_packet's bytes of the copy ``conn`` got, with the packet
+        id it was given: the one it gained in ``outbound``."""
+        (pid,) = set(state.sessions[conn].outbound or ()) - seen.get(conn, set()) or (None,)
+        packet = Publish("fleet/truck", payload, qos, retain, packet_id=pid)
+        return encode_packet(ControlPacket(packet, geo))
+
+    seen = {}
+    assert dict(writes[:-1]) == {
+        "q0": expected("q0", 0, None),
+        "geo1": expected("geo1", 1, here),
+        "radius1": expected("radius1", 1, here),
+        "q2": expected("q2", 2, None),
+    }
+    assert writes[-1] == ("p", encode_packet(ControlPacket(PubRec(9))))
+    assert {conn: sorted(state.sessions[conn].outbound or ()) for conn in subscriptions} == {
+        "q0": [], "geo1": [1], "radius1": [400], "q2": [65535],
+    }
+    assert len(encodes) == 5  # one per copy and the PUBREC
+
+    # A will takes the same path; a radius filter gets no copy without a
+    # geolocation, and q2's packet ids wrap to 1.
+    seen = {conn: set(state.sessions[conn].outbound or ()) for conn in subscriptions}
+    connect(state, "w", "will", will=Will("fleet/truck", b"gone", 1))
+    encodes.clear()
+    writes = state.release("w")
+    assert dict(writes) == {
+        "q0": expected("q0", 0, None, b"gone"),
+        "geo1": expected("geo1", 1, None, b"gone"),
+        "q2": expected("q2", 1, None, b"gone"),
+    }
+    assert len(writes) == 3 and len(encodes) == 3
+    assert state.sessions["q2"].outbound.keys() == {65535, 1}
+
+    # So does a retained copy, which keeps the RETAIN bit.
+    seen = {conn: set(state.sessions[conn].outbound or ()) for conn in subscriptions}
+    writes, _ = state.receive("geo1", ControlPacket(Subscribe(2, (TopicFilter("fleet/truck", 2),))), 0.0)
+    assert writes[-1] == ("geo1", expected("geo1", 2, None, retain=True))
+

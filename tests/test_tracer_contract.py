@@ -117,3 +117,43 @@ def test_wrapped_frame_and_log_names_exist_and_are_called():
         for call in ast.walk(read_frame)
     ), "netio.read_frame never calls recv_exact"
     assert "emit" in called_attributes(Path(broker.__file__)), "mqttg.broker never calls .emit("
+
+
+def test_broker_reaches_the_codec_and_log_only_through_traced_names():
+    """The codec's and the log's private fast paths run inside
+    decode_packet, encode_packet and EventLog.emit. A broker that called
+    one of them directly would move that time out of codec.decode_us,
+    codec.encode_us or eventlog.emit_us and into the time no wrapper
+    attributes."""
+    tree = ast.parse(Path(broker.__file__).read_text(encoding="utf-8"))
+    own_writes = {
+        id(call)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_write" for f in cls.body)
+        for call in ast.walk(cls)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "self"
+    }
+    bypasses = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if (
+            name.startswith(("_decode_", "_encode_"))
+            or name == "_decoded"
+            or (name == "_write" and id(call) not in own_writes)
+        ):
+            bypasses.append(f"line {call.lineno}: {name}")
+    assert not bypasses, f"mqttg.broker bypasses a traced name: {bypasses}"
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("codec", "eventlog")
+        for alias in node.names
+    }
+    assert not {name for name in imported if name.startswith("_")}, imported
