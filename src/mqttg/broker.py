@@ -83,7 +83,7 @@ from .geo import (
     point_in_polygon,
     resolve_polygon,
 )
-from .netio import read_frame
+from .netio import SocketBuffer, read_frame
 from .topics import TopicTree, topic_filter_valid, topic_matches
 
 logger = logging.getLogger("mqttg.broker")
@@ -680,10 +680,15 @@ class _Conn:
 class Broker:
     """Threaded TCP driver of BrokerState.
 
-    A thread per connection reads and decodes each frame, hands it to
-    ``state.receive`` under the one state lock, and performs the writes it
-    returns outside the lock under per-connection send locks, so
-    per-publisher delivery order is preserved.
+    A thread per connection reads its socket a chunk at a time
+    (netio.SocketBuffer). It decodes each frame and hands it to
+    ``state.receive`` under the one state lock, collecting the writes it
+    returns, until no whole frame is left in the chunk. Then it flushes
+    the event log and performs the collected writes in order, outside the
+    lock under per-connection send locks, one send per run of writes to
+    one connection; so per-publisher delivery order is preserved. When the
+    connection ends, the writes still collected go out before those of
+    its release.
 
     A CONNECT with a client id already in use takes the id over: the old
     session is dropped, its will is published, and any packet the old
@@ -762,7 +767,7 @@ class Broker:
                     pass
         with self._lock:
             conns = list(self.state.clients)
-        self._write([(conn, None) for conn in conns])
+        self._send([(conn, None) for conn in conns])
 
     def _accept(self, listener: socket.socket, serve) -> None:
         while self._running:
@@ -778,22 +783,27 @@ class Broker:
 
     def _serve_client(self, sock: socket.socket, addr) -> None:
         conn = _Conn(sock, addr)
+        reader = SocketBuffer(sock)
+        pending: list[Write] = []  # the writes of the frames decided since the last send
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(10.0)  # until CONNECT sets the keep-alive
             while self._running:
-                frame = read_frame(sock)
+                frame = read_frame(reader)
                 if frame is None:
                     return
                 packet = decode_packet(frame)
                 with self._lock:
                     writes, keep_open = self.state.receive(conn, packet, time.monotonic())
-                self._write(writes)
+                pending += writes
                 if not keep_open:
                     return
                 if isinstance(packet.body, Connect):
                     keep_alive = packet.body.keep_alive
                     sock.settimeout(keep_alive * 1.5 if keep_alive else None)
+                if not reader.holds_frame():
+                    self._send(pending)
+                    pending = []
         except socket.timeout:
             logger.warning("%s: keep-alive timeout", addr)
         except CodecError as exc:
@@ -804,16 +814,31 @@ class Broker:
             logger.exception("%s: closing connection after an error", addr)
         finally:
             with self._lock:
-                writes = self.state.release(conn)
-            self._write(writes)
+                pending += self.state.release(conn)
+            self._send(pending)
             conn.close()
+
+    def _send(self, writes: list[Write]) -> None:
+        """Flush the event log, then perform the writes: every row the
+        writes' packets caused reaches the log before their bytes go out."""
+        self.state.events.flush()
+        self._write(writes)
 
     @staticmethod
     def _write(writes: list[Write]) -> None:
-        """Perform the core's writes in order. A write that fails or times
-        out shuts its target down; the target's own thread then releases it."""
-        for target, data in writes:
+        """Perform the core's writes in order, joining a run of writes to
+        one connection into one send. A write that fails or times out shuts
+        its target down; the target's own thread then releases it."""
+        i, n = 0, len(writes)
+        while i < n:
+            target, data = writes[i]
+            i += 1
             if data is not None:
+                start = i - 1
+                while i < n and writes[i][0] is target and writes[i][1] is not None:
+                    i += 1
+                if i - start > 1:
+                    data = b"".join([d for _, d in writes[start:i]])
                 try:
                     target.send(data)
                     continue

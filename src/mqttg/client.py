@@ -50,7 +50,7 @@ from .errors import (
     NotConnected,
     SubscriptionRefused,
 )
-from .netio import read_frame
+from .netio import SocketBuffer, read_frame
 from .topics import topic_filter_valid
 
 logger = logging.getLogger("mqttg.client")
@@ -120,6 +120,7 @@ class MqttgClient:
     def __init__(self, config: ClientConfig):
         self.config = config
         self._sock: socket.socket | None = None
+        self._reader: SocketBuffer | None = None
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._flows: dict[int, _Flow] = {}
@@ -140,6 +141,9 @@ class MqttgClient:
             raise ConnectTimeout(f"cannot reach {cfg.host}:{cfg.port}: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
+        # one reader for the CONNACK and the reader loop, so that bytes
+        # that arrive with the CONNACK stay in it
+        self._reader = SocketBuffer(sock)
         body = Connect(
             client_id=cfg.client_id,
             clean_session=cfg.clean_session,
@@ -149,7 +153,7 @@ class MqttgClient:
         try:
             self._send(ControlPacket(body))
             try:
-                frame = read_frame(sock)
+                frame = read_frame(self._reader)
             except socket.timeout:
                 raise ConnectTimeout("no CONNACK within the connect timeout") from None
             if frame is None:
@@ -321,11 +325,9 @@ class MqttgClient:
         raise DeliveryTimeout(f"{what} unacknowledged after {self.config.max_retries} retries")
 
     def _reader_loop(self) -> None:
-        sock = self._sock
-        assert sock is not None
         try:
             while not self._stop.is_set():
-                frame = read_frame(sock)
+                frame = read_frame(self._reader)
                 if frame is None:
                     break
                 self._dispatch(decode_packet(frame))

@@ -203,6 +203,36 @@ def test_failed_handshake_closes_the_socket():
             assert sock.recv(1) == b""  # EOF: the client closed its end
 
 
+def test_a_publish_that_arrives_with_the_connack_is_dispatched():
+    """The CONNACK read and the reader loop share one reader, so a frame
+    that comes in the CONNACK's segment is not lost."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            sock.recv(1024)  # CONNECT
+            sock.sendall(
+                encode_packet(ControlPacket(Connack(False, 0)))
+                + encode_packet(ControlPacket(Publish("early/bird", b"worm")))
+            )
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="early", port=listener.getsockname()[1]))
+        client.connect()
+        try:
+            server.join(5.0)
+            assert not server.is_alive()
+            message = client.receive(timeout=3.0)
+            assert message is not None
+            assert (message.topic, message.payload) == ("early/bird", b"worm")
+        finally:
+            client.disconnect()
+            peer[0].close()
+
+
 def test_qos1_retransmits_with_dup_then_times_out():
     silent = _SilentBroker()
     config = ClientConfig(

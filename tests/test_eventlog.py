@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
 import time
 from datetime import datetime, timedelta, timezone
 
 from mqttg.codec import GeoLocation
-from mqttg.eventlog import EventLog
+from mqttg.eventlog import COLUMNS, EventLog
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 SECOND = 1_000_000_000
@@ -63,3 +64,46 @@ def test_timestamp_is_utc_milliseconds_with_an_offset():
     assert parsed.utcoffset() == timedelta(0) and stamp.endswith("+00:00")
     assert len(stamp) == len("2024-05-01T12:00:00.123+00:00")
     assert abs(parsed - datetime.now(timezone.utc)) < timedelta(seconds=5)
+
+
+class FlushedText:
+    """A text stream that shows only what has been flushed to it."""
+
+    def __init__(self) -> None:
+        self._pending: list[str] = []
+        self.flushed = ""
+
+    def write(self, text: str) -> int:
+        self._pending.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        self.flushed += "".join(self._pending)
+        self._pending.clear()
+
+
+def test_rows_reach_the_stream_only_on_flush():
+    streams = [FlushedText(), FlushedText()]
+    log = EventLog(streams)
+    header = ",".join(COLUMNS)
+    assert [s.flushed for s in streams] == [header + "\r\n"] * 2  # flushed at construction
+    log.emit("c", "CONNECT")
+    log.emit("c", "PUBLISH")
+    assert [s.flushed for s in streams] == [header + "\r\n"] * 2
+    log.flush()
+    for stream in streams:
+        rows = list(csv.reader(stream.flushed.splitlines()))
+        assert [row[1:3] for row in rows[1:]] == [["c", "CONNECT"], ["c", "PUBLISH"]]
+    log.flush()  # nothing new: nothing changes
+    assert streams[0].flushed == streams[1].flushed and streams[0].flushed.count("\r\n") == 3
+
+
+def test_flush_takes_the_log_lock():
+    log = EventLog([FlushedText()])
+    done = threading.Event()
+    with log._lock:
+        flusher = threading.Thread(target=lambda: (log.flush(), done.set()))
+        flusher.start()
+        assert not done.wait(0.2)
+    flusher.join(5.0)
+    assert not flusher.is_alive() and done.is_set()

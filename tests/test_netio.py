@@ -1,0 +1,130 @@
+"""SocketBuffer: one recv per chunk, the same frames as reading the socket
+frame by frame."""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+
+import gen
+from mqttg.codec import ControlPacket, Pingreq, Publish, encode_packet
+from mqttg.errors import MalformedPacket
+from mqttg.netio import CHUNK, SocketBuffer, read_frame
+
+
+class NeedsRecv(Exception):
+    pass
+
+
+class FakeSocket:
+    """Serves ``chunks`` in order, each as a socket would deliver one TCP
+    segment: a recv returns at most ``n`` bytes and never crosses into the
+    next chunk. Then EOF, or NeedsRecv if ``then_raise``."""
+
+    def __init__(self, chunks, then_raise: bool = False):
+        self.chunks = [bytes(c) for c in chunks if c]
+        self.then_raise = then_raise
+        self.asked: list[int] = []
+
+    def recv(self, n: int) -> bytes:
+        self.asked.append(n)
+        if not self.chunks:
+            if self.then_raise:
+                raise NeedsRecv
+            return b""
+        head = self.chunks[0]
+        self.chunks[0] = head[n:]
+        if not self.chunks[0]:
+            self.chunks.pop(0)
+        return head[:n]
+
+
+def read_all(source) -> list[bytes]:
+    frames = []
+    while (frame := read_frame(source)) is not None:
+        frames.append(frame)
+    return frames
+
+
+def corpus() -> list[bytes]:
+    rng = Random(10)
+    frames = [encode_packet(gen.random_packet(rng)) for _ in range(30)]
+    frames.append(encode_packet(ControlPacket(Publish("t", bytes(300)))))  # a 2-byte length
+    frames.append(encode_packet(ControlPacket(Pingreq())))  # remaining length 0
+    return frames
+
+
+FRAMES = corpus()
+STREAM = b"".join(FRAMES)
+
+
+def test_corpus_has_every_length_form():
+    lengths = {len(f) for f in FRAMES}
+    assert 2 in lengths and max(lengths) > 130  # 0, 1-byte and 2-byte remaining lengths
+
+
+def test_per_frame_path_reads_the_corpus():
+    assert read_all(FakeSocket([STREAM])) == FRAMES
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
+def test_chunks_of_every_size_give_the_same_frames(size):
+    chunks = [STREAM[i : i + size] for i in range(0, len(STREAM), size)]
+    assert read_all(SocketBuffer(FakeSocket(chunks))) == FRAMES
+
+
+def test_a_cut_at_every_offset_gives_the_same_frames():
+    for cut in range(len(STREAM) + 1):
+        sock = FakeSocket([STREAM[:cut], STREAM[cut:]])
+        assert read_all(SocketBuffer(sock)) == FRAMES, cut
+        assert min(sock.asked) >= CHUNK
+
+
+def test_frames_that_arrive_together_cost_one_recv():
+    frames = [encode_packet(ControlPacket(Publish("plain/bench/t", b"%16d" % i))) for i in range(12)]
+    sock = FakeSocket([b"".join(frames)])
+    reader = SocketBuffer(sock)
+    for frame in frames:
+        assert read_frame(reader) == frame
+    assert sock.asked == [CHUNK]
+
+
+def test_a_frame_larger_than_the_chunk_reads_its_body_in_one_piece():
+    frame = encode_packet(ControlPacket(Publish("big", bytes(3 * CHUNK + 17))))
+    sock = FakeSocket([frame])
+    assert read_frame(SocketBuffer(sock)) == frame
+    assert sock.asked == [CHUNK, len(frame) - CHUNK]
+
+
+def test_holds_frame_is_true_exactly_when_read_frame_needs_no_recv():
+    first = FRAMES[0]
+    refused = b"\x30\xff\xff\xff\xff\x01"  # a remaining length of 5 bytes
+    for frame in (*FRAMES, refused):
+        for end in range(len(frame) + 1):
+            sock = FakeSocket([first + frame[:end]], then_raise=True)
+            reader = SocketBuffer(sock)
+            assert read_frame(reader) == first
+            held = reader.holds_frame()
+            asked = len(sock.asked)
+            try:
+                assert read_frame(reader) == frame[:end]
+            except (MalformedPacket, NeedsRecv):
+                pass
+            assert held is (len(sock.asked) == asked), (frame, end)
+
+
+def test_eof_at_a_boundary_ends_and_mid_frame_raises():
+    frame = FRAMES[-2]
+    reader = SocketBuffer(FakeSocket([frame]))
+    assert read_frame(reader) == frame
+    assert read_frame(reader) is None
+    assert read_frame(SocketBuffer(FakeSocket([]))) is None
+    for cut in (1, 2, 3, len(frame) - 1):  # in the length, then in the body
+        with pytest.raises(ConnectionError):
+            read_frame(SocketBuffer(FakeSocket([frame[:cut]])))
+
+
+def test_a_five_byte_remaining_length_is_malformed():
+    with pytest.raises(MalformedPacket):
+        read_frame(SocketBuffer(FakeSocket([b"\x30\xff\xff\xff\xff\x01"])))

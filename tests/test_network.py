@@ -9,13 +9,14 @@ import time
 import pytest
 
 from mqttg import broker as broker_module
-from mqttg.broker import admin_request
+from mqttg.broker import Broker, admin_request
 from mqttg.client import ClientConfig, GeoMode, MqttgClient
 from mqttg.codec import (
     Connack,
     Connect,
     ConstraintKind,
     ControlPacket,
+    Disconnect,
     GeoConstraint,
     GeoLocation,
     Pingreq,
@@ -33,7 +34,10 @@ from mqttg.codec import (
     encode_remaining_length,
 )
 from mqttg.errors import ConnectTimeout, NotConnected, SubscriptionRefused
+from mqttg.eventlog import EventLog
 from mqttg.netio import read_frame
+
+from test_eventlog import FlushedText
 
 
 def mk_client(broker, client_id, location=None, **kw):
@@ -574,6 +578,101 @@ class TestSessionRules:
         sock.sendall(b"\x00\x00")  # packet type 0
         assert read_frame(sock) is None  # broker hangs up
         sock.close()
+
+
+def frames(*bodies, geolocation=None) -> bytes:
+    return b"".join(encode_packet(ControlPacket(body, geolocation)) for body in bodies)
+
+
+class TestBatchedFrames:
+    """Frames that arrive in one segment are decided one by one and their
+    writes sent together, in the order they were decided."""
+
+    def test_four_publishes_in_one_segment_arrive_in_order(self, broker):
+        sub = mk_client(broker, "sub")
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sub.subscribe("t")
+            publishes = [Publish("t", b"m%d" % i) for i in range(4)]
+            raw.sendall(frames(Connect(client_id="raw", keep_alive=5), *publishes))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            assert [sub.receive(timeout=3.0).payload for _ in range(4)] == [b"m0", b"m1", b"m2", b"m3"]
+            assert sub.receive(timeout=0.3) is None
+        finally:
+            raw.close()
+            sub.disconnect()
+
+    def test_a_publish_before_malformed_bytes_is_delivered_then_the_will(self, broker):
+        sub = mk_client(broker, "sub")
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sub.subscribe("t")
+            sub.subscribe("will/raw")
+            connect = Connect(client_id="raw", keep_alive=5, will=Will("will/raw", b"gone"))
+            raw.sendall(frames(connect, Publish("t", b"before")) + b"\x00\x00")
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            assert read_frame(raw) is None  # the broker hangs up
+            assert sub.receive(timeout=3.0).payload == b"before"
+            assert sub.receive(timeout=3.0).payload == b"gone"
+        finally:
+            raw.close()
+            sub.disconnect()
+
+    def test_nothing_after_a_disconnect_is_routed_and_no_will_is_sent(self, broker):
+        sub = mk_client(broker, "sub")
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sub.subscribe("t")
+            sub.subscribe("will/raw")
+            connect = Connect(client_id="raw", keep_alive=5, will=Will("will/raw", b"gone"))
+            raw.sendall(frames(connect, Publish("t", b"first"), Disconnect(), Publish("t", b"last")))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            assert read_frame(raw) is None
+            assert sub.receive(timeout=3.0).payload == b"first"
+            assert sub.receive(timeout=0.5) is None
+        finally:
+            raw.close()
+            sub.disconnect()
+
+    def test_a_run_of_writes_to_one_connection_is_one_send(self):
+        done = []
+
+        class Target:
+            def __init__(self, name, fail=False):
+                self.name, self.fail = name, fail
+
+            def send(self, data):
+                if self.fail:
+                    raise OSError("broken pipe")
+                done.append((self.name, data))
+
+            def shutdown(self):
+                done.append((self.name, None))
+
+        a, b, c = Target("a"), Target("b"), Target("c", fail=True)
+        Broker._write([
+            (a, b"1"), (a, b"2"), (b, b"3"), (a, b"4"), (a, None), (a, None), (a, b"5"),
+            (c, b"6"), (c, b"7"), (b, b"8"),
+        ])
+        assert done == [
+            ("a", b"12"), ("b", b"3"), ("a", b"4"), ("a", None), ("a", None), ("a", b"5"),
+            ("c", None), ("b", b"8"),
+        ]
+
+    def test_a_publish_row_is_flushed_before_its_puback_is_sent(self):
+        stream = FlushedText()
+        broker = Broker(host="127.0.0.1", port=0, admin_port=None, event_log=EventLog([stream]))
+        broker.start()
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            raw.sendall(frames(Connect(client_id="raw", keep_alive=5), Publish("t", b"x", 1, packet_id=9)))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            assert decode_packet(read_frame(raw)).body == PubAck(9)
+            rows = list(csv.reader(stream.flushed.splitlines()))
+            assert [r[1:3] for r in rows[1:]] == [["raw", "CONNECT"], ["raw", "PUBLISH"]]
+        finally:
+            raw.close()
+            broker.stop()
 
 
 class TestEventLog:
