@@ -150,7 +150,7 @@ class SessionState:
     geo_capable: bool = False
     next_pid: int = 1
     # QoS flow tables, made on first use: most sessions never need them
-    outbound: dict[int, str] | None = None  # pid -> flow stage
+    outbound: set[int] | None = None  # packet ids of unacknowledged deliveries
     incoming_qos2: set[int] | None = None
     owner: object = None  # the connection's handle; None for a session with no connection
     will: Will | None = None
@@ -254,20 +254,17 @@ class BrokerState:
                 reply = PubAck(body.packet_id)
             elif body.qos == 2:
                 reply = PubRec(body.packet_id)
-        elif isinstance(body, PubAck):
-            if (session.outbound or {}).pop(body.packet_id, None) is None:
-                logger.debug("%s: PUBACK for unknown pid %d", cid, body.packet_id)
+        elif isinstance(body, (PubAck, PubComp)):
+            if body.packet_id in (session.outbound or ()):
+                session.outbound.remove(body.packet_id)
+            else:
+                logger.debug("%s: %s for unknown pid %d", cid, packet.packet_type.name, body.packet_id)
         elif isinstance(body, PubRec):
-            if (session.outbound or {}).get(body.packet_id) == "await_pubrec":
-                session.outbound[body.packet_id] = "await_pubcomp"
-            reply = PubRel(body.packet_id)
+            reply = PubRel(body.packet_id)  # the id stays unacknowledged until PUBCOMP
         elif isinstance(body, PubRel):
             if session.incoming_qos2:
                 session.incoming_qos2.discard(body.packet_id)
             reply = PubComp(body.packet_id)
-        elif isinstance(body, PubComp):
-            if session.outbound:
-                session.outbound.pop(body.packet_id, None)
         elif isinstance(body, Subscribe):
             codes = self.subscribe(cid, body.filters)
             reply = Suback(body.packet_id, tuple(codes))
@@ -369,8 +366,8 @@ class BrokerState:
                 logger.warning("%s: no free packet id, dropping a copy of %r", client_id, topic)
                 return
             if session.outbound is None:
-                session.outbound = {}
-            session.outbound[pid] = "await_puback" if qos == 1 else "await_pubrec"
+                session.outbound = set()
+            session.outbound.add(pid)
         pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
         writes.append((session.owner, encode_packet(pkt)))
 
@@ -648,6 +645,9 @@ def load_fence_file(path: str, state: BrokerState) -> int:
 # ---------------------------------------------------------------------------
 
 
+STOP_WAIT_S = 5.0  # each of stop()'s waits for the broker's threads
+
+
 class _Conn:
     def __init__(self, sock: socket.socket, addr):
         self.sock = sock
@@ -683,12 +683,14 @@ class Broker:
     A thread per connection reads its socket a chunk at a time
     (netio.SocketBuffer). It decodes each frame and hands it to
     ``state.receive`` under the one state lock, collecting the writes it
-    returns, until no whole frame is left in the chunk. Then it flushes
-    the event log and performs the collected writes in order, outside the
-    lock under per-connection send locks, one send per run of writes to
-    one connection; so per-publisher delivery order is preserved. When the
-    connection ends, the writes still collected go out before those of
-    its release.
+    returns, until no whole frame is left in the chunk. With the chunk's
+    last frame it also flushes the event log, under that lock, which
+    serializes every row too; so every row reaches the log before the
+    bytes its packet caused. Then it performs the collected writes in
+    order, outside the lock under per-connection send locks, one send per
+    run of writes to one connection; so per-publisher delivery order is
+    preserved. When the connection ends, the writes still collected go
+    out before those of its release.
 
     A CONNECT with a client id already in use takes the id over: the old
     session is dropped, its will is published, and any packet the old
@@ -709,6 +711,11 @@ class Broker:
     ):
         self.state = BrokerState(event_log)
         self._lock = threading.Lock()
+        # Under the state lock: the live client and admin connections, and
+        # a Condition notified as each one ends.
+        self._conns: set[_Conn] = set()
+        self._ended = threading.Condition(self._lock)
+        self._accepters: list[threading.Thread] = []
         self._host = host
         self._port = port
         self._admin_host = admin_host
@@ -736,17 +743,15 @@ class Broker:
 
     def start(self) -> None:
         self._listener = self._listen(self._host, self._port)
-        self._running = True
-        threading.Thread(
-            target=self._accept, args=(self._listener, self._serve_client),
-            daemon=True, name="mqttg-accept",
-        ).start()
+        served = [(self._listener, self._serve_client, "mqttg-accept")]
         if self._admin_port is not None:
             self._admin_listener = self._listen(self._admin_host, self._admin_port)
-            threading.Thread(
-                target=self._accept, args=(self._admin_listener, self._serve_admin),
-                daemon=True, name="mqttg-admin",
-            ).start()
+            served.append((self._admin_listener, self._serve_admin, "mqttg-admin"))
+        self._running = True
+        for listener, serve, name in served:
+            thread = threading.Thread(target=self._accept, args=(listener, serve), daemon=True, name=name)
+            thread.start()
+            self._accepters.append(thread)
         logger.info("broker listening on %s:%d", self._host, self.port)
 
     @staticmethod
@@ -758,31 +763,50 @@ class Broker:
         return sock
 
     def stop(self) -> None:
-        self._running = False
-        for listener in (self._listener, self._admin_listener):
-            if listener is not None:
-                try:
-                    listener.close()
-                except OSError:
-                    pass
+        """End what start() started: shut the listeners and every client
+        and admin connection down, wait for the listeners' threads to end
+        and for each connection's thread to release its session, then
+        flush the event log."""
         with self._lock:
-            conns = list(self.state.clients)
-        self._send([(conn, None) for conn in conns])
+            self._running = False
+            conns = list(self._conns)
+        listeners = [s for s in (self._listener, self._admin_listener) if s is not None]
+        for listener in listeners:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes its accept(), which close() would not
+            except OSError:
+                pass
+        for conn in conns:
+            conn.shutdown()
+        for thread in self._accepters:
+            thread.join(STOP_WAIT_S)
+        for listener in listeners:
+            listener.close()
+        with self._lock:
+            if not self._ended.wait_for(lambda: not self._conns, STOP_WAIT_S):
+                logger.warning("stop: %d connections still open", len(self._conns))
+            self.state.events.flush()
 
     def _accept(self, listener: socket.socket, serve) -> None:
-        while self._running:
+        """Serve each connection on its own thread, counted as live for
+        stop() to end; once stop() has begun, close it instead."""
+        while True:
             try:
                 sock, addr = listener.accept()
             except OSError:
                 return
-            threading.Thread(
-                target=serve, args=(sock, addr), daemon=True, name=f"mqttg-{addr}"
-            ).start()
+            conn = _Conn(sock, addr)
+            with self._lock:
+                if not self._running:
+                    break
+                self._conns.add(conn)
+            threading.Thread(target=serve, args=(conn,), daemon=True, name=f"mqttg-{addr}").start()
+        conn.close()
 
     # -- client connections -----------------------------------------------------
 
-    def _serve_client(self, sock: socket.socket, addr) -> None:
-        conn = _Conn(sock, addr)
+    def _serve_client(self, conn: _Conn) -> None:
+        sock = conn.sock
         reader = SocketBuffer(sock)
         pending: list[Write] = []  # the writes of the frames decided since the last send
         try:
@@ -793,36 +817,36 @@ class Broker:
                 if frame is None:
                     return
                 packet = decode_packet(frame)
+                batch_ends = not reader.holds_frame()
                 with self._lock:
                     writes, keep_open = self.state.receive(conn, packet, time.monotonic())
+                    if batch_ends:
+                        self.state.events.flush()  # the batch's rows go before its writes
                 pending += writes
                 if not keep_open:
                     return
                 if isinstance(packet.body, Connect):
                     keep_alive = packet.body.keep_alive
                     sock.settimeout(keep_alive * 1.5 if keep_alive else None)
-                if not reader.holds_frame():
-                    self._send(pending)
+                if batch_ends:
+                    self._write(pending)
                     pending = []
         except socket.timeout:
-            logger.warning("%s: keep-alive timeout", addr)
+            logger.warning("%s: keep-alive timeout", conn)
         except CodecError as exc:
-            logger.warning("%s: closing connection: %s", addr, exc)
+            logger.warning("%s: closing connection: %s", conn, exc)
         except OSError:
             pass  # the peer went away
         except Exception:
-            logger.exception("%s: closing connection after an error", addr)
+            logger.exception("%s: closing connection after an error", conn)
         finally:
             with self._lock:
                 pending += self.state.release(conn)
-            self._send(pending)
+                self.state.events.flush()
+                self._conns.discard(conn)
+                self._ended.notify_all()
+            self._write(pending)
             conn.close()
-
-    def _send(self, writes: list[Write]) -> None:
-        """Flush the event log, then perform the writes: every row the
-        writes' packets caused reaches the log before their bytes go out."""
-        self.state.events.flush()
-        self._write(writes)
 
     @staticmethod
     def _write(writes: list[Write]) -> None:
@@ -848,9 +872,9 @@ class Broker:
 
     # -- admin socket -----------------------------------------------------------
 
-    def _serve_admin(self, sock: socket.socket, addr) -> None:
+    def _serve_admin(self, conn: _Conn) -> None:
         try:
-            with sock, sock.makefile("rw", encoding="utf-8", newline="\n") as fh:
+            with conn.sock.makefile("rw", encoding="utf-8", newline="\n") as fh:
                 for line in fh:
                     with self._lock:
                         replies = self.state.admin_command(line.strip())
@@ -859,6 +883,11 @@ class Broker:
                     fh.flush()
         except (ConnectionError, OSError):
             pass
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+                self._ended.notify_all()
+            conn.close()
 
 
 def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list[str]:

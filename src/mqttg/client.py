@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import queue
+import selectors
 import socket
 import threading
 import time
@@ -115,7 +116,10 @@ class _Flow:
 
 
 class MqttgClient:
-    """A connected client handle; safe to share between threads."""
+    """A connected client handle; safe to share between threads. Its one
+    thread reads the socket, and sends a PINGREQ once nothing has been sent
+    for 0.75 x the keep-alive. Other threads only shut the socket down; the
+    reader closes it when it ends."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
@@ -128,7 +132,6 @@ class MqttgClient:
         self._inbound_qos2: dict[int, InboundMessage] = {}
         self._messages: queue.Queue[InboundMessage] = queue.Queue()
         self._connected = False
-        self._stop = threading.Event()
         self._last_send = 0.0
 
     # -- lifecycle ------------------------------------------------------------
@@ -169,7 +172,6 @@ class MqttgClient:
         sock.settimeout(None)
         self._connected = True
         threading.Thread(target=self._reader_loop, daemon=True, name="mqttg-reader").start()
-        threading.Thread(target=self._keepalive_loop, daemon=True, name="mqttg-keepalive").start()
         return self
 
     def disconnect(self) -> None:
@@ -325,18 +327,29 @@ class MqttgClient:
         raise DeliveryTimeout(f"{what} unacknowledged after {self.config.max_retries} retries")
 
     def _reader_loop(self) -> None:
+        sock, reader = self._sock, self._reader
         try:
-            while not self._stop.is_set():
-                frame = read_frame(self._reader)
-                if frame is None:
-                    break
-                self._dispatch(decode_packet(frame))
+            with selectors.DefaultSelector() as selector:
+                selector.register(sock, selectors.EVENT_READ)
+                while True:
+                    while not reader.holds_frame():
+                        # a send from another thread moves the deadline
+                        due = self._last_send + 0.75 * self.config.keep_alive - time.monotonic()
+                        if due <= 0:
+                            self._send(ControlPacket(Pingreq(), self._geo()))
+                        elif selector.select(due):
+                            break
+                    frame = read_frame(reader)
+                    if frame is None:
+                        break
+                    self._dispatch(decode_packet(frame))
         except (ConnectionError, OSError):
             pass
         except Exception:
             logger.exception("reader loop failed")
         finally:
             self._shutdown()
+            sock.close()
 
     def _dispatch(self, packet: ControlPacket) -> None:
         body = packet.body
@@ -382,29 +395,16 @@ class MqttgClient:
             return
         flow.finish(payload)
 
-    def _keepalive_loop(self) -> None:
-        interval = self.config.keep_alive
-        while not self._stop.wait(interval / 8):
-            if not self._connected:
-                return
-            if time.monotonic() - self._last_send >= interval * 0.75:
-                try:
-                    self.ping()
-                except (NotConnected, OSError):
-                    return
-
     def _shutdown(self) -> None:
         self._connected = False
-        self._stop.set()
         with self._state_lock:
             flows = list(self._flows.values())
             self._flows.clear()
         for flow in flows:
             flow.fail()
-        sock = self._sock
-        if sock is not None:
+        if self._sock is not None:
             try:
-                sock.close()
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
 

@@ -11,7 +11,6 @@ the packet carried none.
 from __future__ import annotations
 
 import csv
-import threading
 import time
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable
@@ -25,32 +24,28 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 class EventLog:
     """Rows are written to each stream as they are emitted and flushed
-    only by ``flush()``; the header is flushed at construction. The broker
-    flushes before it sends anything a packet caused, so each row a packet
-    caused reaches the streams first."""
+    only by ``flush()``; the header is flushed at construction. Callers
+    serialize access: the broker emits and flushes under its state lock,
+    and flushes before it sends anything a packet caused, so each row a
+    packet caused reaches the streams first."""
 
-    def __init__(self, streams: Iterable[IO[str]] = (), write_header: bool = True):
+    def __init__(self, streams: Iterable[IO[str]] = ()):
         streams = list(streams)
         self._writers = [csv.writer(stream).writerow for stream in streams]
         self._flushes = [stream.flush for stream in streams]
-        self._lock = threading.Lock()
-        # (a whole second since the epoch, its "YYYY-MM-DDTHH:MM:SS"), one
-        # tuple so that a racing emit never pairs a second with another's prefix
+        # (a whole second since the epoch, its "YYYY-MM-DDTHH:MM:SS")
         self._second = (None, "")
-        if write_header:
-            self._write(COLUMNS)
-            self.flush()
+        self._write(COLUMNS)
+        self.flush()
 
     def _write(self, row) -> None:
-        with self._lock:
-            for writerow in self._writers:
-                writerow(row)
+        for writerow in self._writers:
+            writerow(row)
 
     def flush(self) -> None:
         """Push every row emitted so far to the streams."""
-        with self._lock:
-            for flush in self._flushes:
-                flush()
+        for flush in self._flushes:
+            flush()
 
     def _timestamp(self) -> str:
         """The wall clock, floored to the millisecond, as datetime.now(timezone.utc)

@@ -42,16 +42,18 @@ class Tap:
 
     @staticmethod
     def _pump(src: socket.socket, dst: socket.socket, sink: bytearray) -> None:
+        """Copy one direction. An EOF is passed on as a half-close, as TCP
+        does: the other direction may still carry a reply. An error ends
+        both directions."""
         try:
             while True:
                 chunk = src.recv(4096)
                 if not chunk:
-                    break
+                    _shutdown(dst, socket.SHUT_WR)
+                    return
                 sink += chunk
                 dst.sendall(chunk)
         except OSError:
-            pass
-        finally:
             _shutdown(src)
             _shutdown(dst)
 
@@ -67,8 +69,8 @@ class Tap:
             sock.close()
 
 
-def _shutdown(sock: socket.socket) -> None:
+def _shutdown(sock: socket.socket, how: int = socket.SHUT_RDWR) -> None:
     try:
-        sock.shutdown(socket.SHUT_RDWR)
+        sock.shutdown(how)
     except OSError:
         pass

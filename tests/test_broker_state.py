@@ -454,21 +454,21 @@ class TestFenceCache:
 
 class TestPacketIds:
     def test_exhausted_ids_raise_without_a_walk(self):
-        class CountingDict(dict):
+        class CountingSet(set):
             lookups = 0
 
             def __contains__(self, key):
-                CountingDict.lookups += 1
+                CountingSet.lookups += 1
                 return super().__contains__(key)
 
         state = make_state("a")
         session = state.sessions["a"]
-        session.outbound = CountingDict.fromkeys(range(1, 65536), "await_puback")
+        session.outbound = CountingSet(range(1, 65536))
         session.next_pid = 777
         with pytest.raises(MQTTgError):
             state.alloc_pid("a")
         assert session.next_pid == 777
-        assert CountingDict.lookups == 0
+        assert CountingSet.lookups == 0
 
     def test_flow_tables_are_made_on_first_use(self):
         state = make_state("a")
@@ -480,7 +480,7 @@ class TestPacketIds:
     def test_alloc_skips_ids_in_flight(self):
         state = make_state("a")
         session = state.sessions["a"]
-        session.outbound = dict.fromkeys(range(1, 65535), "await_puback")
+        session.outbound = set(range(1, 65535))
         assert state.alloc_pid("a") == 65535
         assert session.next_pid == 1
 

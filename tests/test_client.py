@@ -167,17 +167,19 @@ class _SilentBroker:
     def _serve(self):
         from mqttg.netio import read_frame
 
-        sock, _ = self.listener.accept()
-        read_frame(sock)  # CONNECT
-        sock.sendall(encode_packet(ControlPacket(Connack(False, 0))))
-        try:
-            while True:
-                frame = read_frame(sock)
-                if frame is None:
-                    break
-                self.frames.append(frame)
-        except OSError:
-            pass
+        with self.listener:
+            sock, _ = self.listener.accept()
+        with sock:
+            read_frame(sock)  # CONNECT
+            sock.sendall(encode_packet(ControlPacket(Connack(False, 0))))
+            try:
+                while True:
+                    frame = read_frame(sock)
+                    if frame is None:
+                        break
+                    self.frames.append(frame)
+            except OSError:
+                pass
         self.done.set()
 
 
@@ -283,3 +285,43 @@ def test_keepalive_gap_never_exceeds_limit(broker):
         tap.close()
     frames = [decode_packet(f) for f in split_frames(bytes(tap.client_to_server))]
     assert sum(1 for f in frames if f.packet_type is PacketType.PINGREQ) >= 2
+
+
+def test_a_connected_client_runs_one_thread():
+    silent = _SilentBroker()
+    before = set(threading.enumerate())
+    client = MqttgClient(ClientConfig(client_id="one", port=silent.port, keep_alive=60)).connect()
+    try:
+        assert [t.name for t in set(threading.enumerate()) - before] == ["mqttg-reader"]
+    finally:
+        client.disconnect()
+
+
+def test_disconnect_ends_the_reader_at_once():
+    """The reader waits for input, not on a timer: at keep_alive=60 it
+    still ends as soon as disconnect() shuts the socket down."""
+    silent = _SilentBroker()
+    before = set(threading.enumerate())
+    client = MqttgClient(ClientConfig(client_id="gone", port=silent.port, keep_alive=60)).connect()
+    reader = next(t for t in set(threading.enumerate()) - before if t.name == "mqttg-reader")
+    client.disconnect()
+    reader.join(1.0)
+    assert not reader.is_alive()
+    assert silent.done.wait(2.0)  # the broker side saw EOF: the reader closed the socket
+
+
+def test_a_client_that_sends_often_enough_never_pings(broker):
+    """Each send moves the ping deadline, 0.75 x the keep-alive after it."""
+    tap = Tap("127.0.0.1", broker.port)
+    client = MqttgClient(ClientConfig(client_id="busy", port=tap.port, keep_alive=1)).connect()
+    try:
+        for _ in range(10):
+            client.publish("t", b"x")
+            time.sleep(0.3)
+    finally:
+        client.disconnect()
+        time.sleep(0.2)
+        tap.close()
+    frames = [decode_packet(f) for f in split_frames(bytes(tap.client_to_server))]
+    assert sum(1 for f in frames if f.packet_type is PacketType.PUBLISH) == 10
+    assert not any(f.packet_type is PacketType.PINGREQ for f in frames)

@@ -184,7 +184,7 @@ def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
         "q2": expected("q2", 1, None, b"gone"),
     }
     assert len(writes) == 3 and len(encodes) == 3
-    assert state.sessions["q2"].outbound.keys() == {65535, 1}
+    assert state.sessions["q2"].outbound == {65535, 1}
 
     # So does a retained copy, which keeps the RETAIN bit.
     seen = {conn: set(state.sessions[conn].outbound or ()) for conn in subscriptions}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import threading
 import time
 from datetime import datetime, timedelta, timezone
 
@@ -96,14 +95,3 @@ def test_rows_reach_the_stream_only_on_flush():
         assert [row[1:3] for row in rows[1:]] == [["c", "CONNECT"], ["c", "PUBLISH"]]
     log.flush()  # nothing new: nothing changes
     assert streams[0].flushed == streams[1].flushed and streams[0].flushed.count("\r\n") == 3
-
-
-def test_flush_takes_the_log_lock():
-    log = EventLog([FlushedText()])
-    done = threading.Event()
-    with log._lock:
-        flusher = threading.Thread(target=lambda: (log.flush(), done.set()))
-        flusher.start()
-        assert not done.wait(0.2)
-    flusher.join(5.0)
-    assert not flusher.is_alive() and done.is_set()

@@ -467,9 +467,7 @@ class TestSessionRules:
             full.subscribe("t", qos=1)
             other.subscribe("t", qos=1)
             with broker._lock:
-                broker.state.sessions["full"].outbound = dict.fromkeys(
-                    range(1, 65536), "await_puback"
-                )
+                broker.state.sessions["full"].outbound = set(range(1, 65536))
             pub.publish("t", b"x", qos=1)  # returns once the PUBACK arrives
             assert other.receive(timeout=3.0).payload == b"x"
             assert full.receive(timeout=0.4) is None
@@ -673,6 +671,63 @@ class TestBatchedFrames:
         finally:
             raw.close()
             broker.stop()
+
+
+class TestStop:
+    """stop() ends what start() started, and returns only then."""
+
+    @staticmethod
+    def started(events=None):
+        broker = Broker(host="127.0.0.1", port=0, admin_host="127.0.0.1", admin_port=0,
+                        event_log=EventLog(events or ()))
+        broker.start()
+        return broker
+
+    def test_after_stop_no_port_accepts_and_no_accept_thread_is_left(self):
+        broker = self.started()
+        ports = broker.port, broker.admin_port
+        broker.stop()
+        for port in ports:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
+        with pytest.raises(OSError):
+            admin_request("127.0.0.1", ports[1], "ADD-FENCE sub t static 1,1 1,-1 -1,-1 -1,1")
+        assert broker.state.fences == {}
+        assert not any(t.is_alive() for t in broker._accepters)
+
+    def test_stop_ends_connections_that_sent_nothing(self):
+        broker = self.started()
+        raws = [socket.create_connection(("127.0.0.1", port), timeout=3.0)
+                for port in (broker.port, broker.admin_port)]
+        try:
+            time.sleep(0.2)  # each connection's thread is reading by now
+            broker.stop()
+            for raw in raws:
+                raw.settimeout(2.0)
+                assert raw.recv(1) == b""  # EOF now, not at the CONNECT timeout
+        finally:
+            for raw in raws:
+                raw.close()
+
+    def test_when_stop_returns_the_log_holds_every_disconnect_row(self):
+        class SlowText(FlushedText):
+            """Each row takes a while to write, so the connections' threads
+            are still writing their DISCONNECT rows after the shutdowns."""
+
+            def write(self, text):
+                time.sleep(0.02)
+                return super().write(text)
+
+        stream = SlowText()
+        broker = self.started([stream])
+        clients = [mk_client(broker, f"c{i}") for i in range(5)]
+        try:
+            broker.stop()
+            rows = list(csv.reader(stream.flushed.splitlines()))
+            assert sorted(r[1] for r in rows if r[2] == "DISCONNECT") == [f"c{i}" for i in range(5)]
+        finally:
+            for client in clients:
+                client.disconnect()
 
 
 class TestEventLog:
