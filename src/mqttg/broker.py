@@ -24,10 +24,17 @@ Routing is indexed, so a publish costs what matches it, not the size of
 the table: a topic tree (topics.TopicTree) finds the matching filters by
 walking the topic's levels, and the fence registry is keyed by owner, so
 only a candidate subscriber's own fences are read. Geometry is compiled
-when it is stored (see geo): a radius filter keeps its centre and latitude
-band, a static fence its Ring, a location record its GeoPoint, and a
-dynamic fence the Ring it last resolved to, with the anchor's record it
-was resolved at.
+when it is stored (see geo): a radius filter keeps a geo.Circle, a static
+fence its Ring, a location record its GeoPoint, and a dynamic fence the
+Ring it last resolved to, with the anchor's record it was resolved at.
+
+route() decides most radius filters without a call. A point past the
+circle's latitude band is outside; a point within its inner bound, where
+|dlat| + cos(centre latitude) * |dlon| is at most the radius in degrees
+less a margin, is inside, since a walk along the centre's parallel and
+then the point's meridian is no shorter than the great circle. Only a
+point between the two bounds is decided by inside_radius, so every
+verdict is the one inside_radius gives.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .geo import (
+    Circle,
     FenceMode,
     GeofencePolygon,
     GeoPoint,
@@ -79,7 +87,6 @@ from .geo import (
     coordinates_valid,
     haversine_distance,
     inside_radius,
-    latitude_band,
     point_in_polygon,
     resolve_polygon,
 )
@@ -98,19 +105,19 @@ Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or Non
 
 @dataclass(slots=True)
 class Subscription:
-    """A stored filter; a radius constraint is compiled to its centre and
-    its latitude band (geo.latitude_band)."""
+    """A stored filter; a radius constraint is compiled to a geo.Circle."""
 
     topic: str
     qos: int
     constraint: GeoConstraint | None = None
-    center: GeoPoint | None = field(default=None, init=False, repr=False, compare=False)
-    band: float = field(default=0.0, init=False, repr=False, compare=False)
+    circle: Circle | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.constraint is not None:
-            self.center = GeoPoint(self.constraint.latitude, self.constraint.longitude)
-            self.band = latitude_band(self.constraint.radius)
+        c = self.constraint
+        if c is not None:
+            self.circle = Circle(
+                GeoPoint(c.latitude, c.longitude), c.radius, c.kind is ConstraintKind.INSIDE_RADIUS
+            )
 
 
 @dataclass(slots=True)
@@ -465,49 +472,59 @@ class BrokerState:
         geo: GeoLocation | None,
     ) -> list[Delivery]:
         """Delivery decisions for one publish; see the module docstring."""
-        point = None  # the publish's GeoPoint, made at the first radius test
-        passing: dict[str, list[Subscription]] = {}
+        point = None  # fail closed: no location, no geo-constrained delivery
+        if geo is not None and geo.is_evaluable:
+            point = GeoPoint(geo.latitude, geo.longitude)
+            lat, lon = point.latitude, point.longitude
+        granted: dict[str, int] = {}  # client -> the highest QoS of its passing filters
+        via_circle: set[str] = set()  # clients with a passing radius filter
         for subs in self.subscriptions.match(topic):
             for client_id, sub in subs.items():
-                constraint = sub.constraint
-                if constraint is not None:
-                    if geo is None or not geo.is_evaluable:
-                        continue  # fail closed: no location, no geo-constrained delivery
+                circle = sub.circle
+                if circle is not None:
                     if point is None:
-                        point = GeoPoint(geo.latitude, geo.longitude)
-                    center = sub.center
-                    inside = abs(point.latitude - center.latitude) <= sub.band and inside_radius(
-                        point, center, constraint.radius
-                    )
-                    if inside != (constraint.kind is ConstraintKind.INSIDE_RADIUS):
                         continue
-                passing.setdefault(client_id, []).append(sub)
+                    center = circle.center
+                    dlat = abs(lat - center.latitude)
+                    if dlat > circle.band:
+                        inside = False
+                    else:
+                        dlon = abs(lon - center.longitude)
+                        if dlon > 180.0:
+                            dlon = 360.0 - dlon
+                        inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
+                            point, center, circle.radius
+                        )
+                    if inside != circle.inside:
+                        continue
+                    via_circle.add(client_id)
+                if sub.qos > granted.get(client_id, -1):
+                    granted[client_id] = sub.qos
         deliveries = []
-        for client_id, subs in passing.items():
-            if not self._fences_pass(client_id, topic):
+        for client_id, sub_qos in granted.items():
+            if client_id in self.fences and not self._fences_pass(client_id, topic):
                 continue
-            out_qos = min(qos, max(s.qos for s in subs))
             include_geo = geo is not None and (
-                self.sessions[client_id].geo_capable
-                or any(s.constraint is not None for s in subs)
+                client_id in via_circle or self.sessions[client_id].geo_capable
             )
-            deliveries.append(Delivery(client_id, out_qos, include_geo))
+            deliveries.append(Delivery(client_id, min(qos, sub_qos), include_geo))
         return deliveries
 
     def _fences_pass(self, client_id: str, topic: str) -> bool:
+        """Every fence the client owns for a filter matching ``topic``
+        contains the client's last-known location."""
         owned = self.fences.get(client_id)
         if owned is None:
             return True
-        fence_lists = [
-            fences for fence_topic, fences in owned.items() if topic_matches(fence_topic, topic)
-        ]
-        if not fence_lists:
-            return True
-        record = self.locations.get(client_id)
-        if record is None or not record.location.is_evaluable:
-            return False
-        where = record.point
-        for fences in fence_lists:
+        where = None
+        for fence_topic, fences in owned.items():
+            if not topic_matches(fence_topic, topic):
+                continue
+            if where is None:
+                record = self.locations.get(client_id)
+                if record is None or not record.location.is_evaluable:
+                    return False
+                where = record.point
             for stored in fences:
                 ring = self._ring(stored)
                 if ring is None or not ring.box_contains(where) or not point_in_polygon(where, ring):
@@ -742,10 +759,17 @@ class Broker:
             return load_fence_file(path, self.state)
 
     def start(self) -> None:
+        """Listen on both ports and serve them; if the admin port cannot be
+        bound, close the client listener and raise."""
         self._listener = self._listen(self._host, self._port)
         served = [(self._listener, self._serve_client, "mqttg-accept")]
         if self._admin_port is not None:
-            self._admin_listener = self._listen(self._admin_host, self._admin_port)
+            try:
+                self._admin_listener = self._listen(self._admin_host, self._admin_port)
+            except OSError:
+                self._listener.close()
+                self._listener = None
+                raise
             served.append((self._admin_listener, self._serve_admin, "mqttg-admin"))
         self._running = True
         for listener, serve, name in served:
@@ -757,9 +781,13 @@ class Broker:
     @staticmethod
     def _listen(host: str, port: int) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(64)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            sock.listen(64)
+        except OSError:
+            sock.close()
+            raise
         return sock
 
     def stop(self) -> None:

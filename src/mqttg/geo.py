@@ -8,10 +8,12 @@ Shapes that are stored are compiled once, so a test against them pays only
 for the decision. A polygon compiles to a Ring: its vertices unwrapped
 around the first one's longitude, and their bounding box. A static fence
 holds its Ring from construction; point_in_polygon takes a Ring or a vertex
-sequence, which it compiles first. A radius circle compiles to its centre
-and latitude_band(radius): a point further than the band from the centre's
-latitude is outside the circle without computing a distance; every other
-point is decided by inside_radius.
+sequence, which it compiles first. A radius filter compiles to a Circle,
+which holds two bounds in degrees: a point further than its latitude band
+from the centre's latitude is outside, and a point within its inner bound
+is inside, both without computing a distance. Only a point between the two
+is decided by inside_radius, so every result is the one inside_radius
+gives.
 """
 
 from __future__ import annotations
@@ -116,6 +118,46 @@ def latitude_band(radius_m: float) -> float:
     """
     band = math.degrees(radius_m / EARTH_RADIUS_M) * (1.0 + 1e-9)
     return band if band < 90.0 else math.inf
+
+
+_WRAP_SLACK = 1e-12  # degrees
+
+
+class Circle:
+    """A radius filter compiled for containment tests.
+
+    ``inside`` is the filter's kind: True for inside-radius, False for
+    outside-radius. ``band`` is latitude_band(radius): a point whose
+    latitude differs from the centre's by more is outside.
+
+    ``inner`` is an inner bound. A walk along the centre's parallel, then
+    along the point's meridian, is at least as long as the great-circle
+    distance d, so d <= EARTH_RADIUS_M * (|dlat| + cos_lat * |dlon|) in
+    radians, with dlon folded into [-180, 180]. A point whose
+    ``|dlat| + cos_lat * |dlon|`` in degrees is at most ``inner`` is
+    therefore inside. The bound gives up 1e-9 of the radius, far more than
+    the rounding of haversine_distance, and 1e-12 degrees (about 0.1 um)
+    more: across the antimeridian the longitude difference is taken near
+    360 degrees, where haversine_distance's own rounding is about 1e-14
+    degrees however small the circle. ``cos_lat`` is computed as
+    haversine_distance computes the centre's cosine. Where the band is
+    infinite, the inner bound is off. BrokerState.route applies both bounds
+    inline and calls inside_radius only for a point between them.
+    """
+
+    __slots__ = ("center", "radius", "inside", "band", "cos_lat", "inner")
+
+    def __init__(self, center: GeoPoint, radius_m: float, inside: bool) -> None:
+        self.center = center
+        self.radius = radius_m
+        self.inside = inside
+        self.band = latitude_band(radius_m)
+        self.cos_lat = math.cos(math.radians(center.latitude))
+        self.inner = (
+            math.degrees(radius_m / EARTH_RADIUS_M) * (1.0 - 1e-9) - _WRAP_SLACK
+            if self.band < math.inf
+            else -math.inf
+        )
 
 
 def _wrap180(delta: float) -> float:

@@ -1,24 +1,28 @@
 """Compiled geometry decides exactly as the plain geometry does.
 
-The broker compiles a radius filter to its centre and latitude band, and
-a fence to a Ring with a bounding box, when it stores them. These
-properties route random publishes through BrokerState and compare its
-verdicts with inside_radius on fresh GeoPoints and with the ray cast
-that tested vertex sequences before rings were compiled (copied below).
-Points are also placed a hair from the circle, the box and the vertices,
-and rings are drawn across the antimeridian.
+The broker compiles a radius filter to a Circle with a latitude band and
+an inner bound, and a fence to a Ring with a bounding box, when it stores
+them. These properties route random publishes through BrokerState and
+compare its verdicts with inside_radius on fresh GeoPoints and with the
+ray cast that tested vertex sequences before rings were compiled (copied
+below). Points are also placed a hair from the circle, the box and the
+vertices, circles are centred a hair from a pole or the antimeridian, and
+rings are drawn across the antimeridian.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mqttg import broker
 from mqttg.broker import BrokerState
 from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
 from mqttg.errors import InvalidCoordinates, InvalidPolygon
 from mqttg.geo import (
     EARTH_RADIUS_M,
+    Circle,
     FenceMode,
     GeofencePolygon,
     GeoPoint,
@@ -123,6 +127,68 @@ def test_band_never_rejects_a_point_inside_the_radius(data):
     point = data.draw(publish_points(center, radius))
     if abs(point[0] - center[0]) > latitude_band(radius):
         assert not inside_radius(GeoPoint(*point), GeoPoint(*center), radius)
+
+
+QUARTER_MERIDIAN_M = EARTH_RADIUS_M * math.pi / 2
+near_edges = st.just(0.0) | st.floats(-13.0, -3.0).map(lambda x: 10.0**x)  # degrees
+edge_centers = st.one_of(
+    st.tuples(st.builds(lambda s, e: s * (90.0 - e), signs, near_edges), longitudes),
+    st.tuples(latitudes, st.builds(lambda s, e: s * (180.0 - e), signs, near_edges)),
+)
+
+
+@st.composite
+def rim_points(draw, center, radius):
+    """A point k * 1e-9 of the radius inside or outside the circle, due
+    north, east, south or west of the centre, or on a random bearing."""
+    k = draw(signs) * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
+    bearing = draw(st.sampled_from([0.0, 90.0, 180.0, 270.0]) | st.floats(0.0, 360.0))
+    lat, lon = destination(*center, radius * (1.0 + k * 1e-9), bearing)
+    return min(90.0, lat), lon
+
+
+def route_verdict(center, radius, point):
+    """route()'s verdict for an inside-radius filter, and whether it
+    called inside_radius to reach it."""
+    state = BrokerState()
+    for client in ("pub", "sub"):
+        state.open_session(client)
+    state.subscribe("sub", (TopicFilter("t", 0, GeoConstraint(ConstraintKind.INSIDE_RADIUS, radius, *center)),))
+    with mock.patch.object(broker, "inside_radius", wraps=inside_radius) as exact:
+        delivered = bool(state.route("pub", "t", 0, geo(*point)))
+    return delivered, exact.called
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_inner_bound_never_accepts_a_point_that_inside_radius_rejects(data):
+    center = data.draw(st.tuples(latitudes, longitudes) | edge_centers)
+    radius = data.draw(
+        st.floats(1e-3, 2.1e7)
+        | st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+        | st.sampled_from([1 - 1e-6, 1 + 1e-6]).map(lambda s: s * QUARTER_MERIDIAN_M)
+    )
+    radius = GeoConstraint(ConstraintKind.INSIDE_RADIUS, radius, *center).radius  # 32 bits, as stored
+    for _ in range(4):
+        point = data.draw(rim_points(center, radius))
+        delivered, _ = route_verdict(center, radius, point)  # without a call when the inner bound accepts
+        assert delivered == inside_radius(GeoPoint(*point), GeoPoint(*center), radius)
+
+
+def test_only_a_point_between_the_bounds_costs_a_distance():
+    center = (48.2, 16.37)
+    for bearing in (0.0, 45.0, 90.0, 200.0):
+        assert route_verdict(center, 5_000.0, destination(*center, 2_000.0, bearing)) == (True, False)
+    # 45 degrees off the meridian the inner bound reaches only about 0.7 of the radius
+    assert route_verdict(center, 5_000.0, destination(*center, 4_000.0, 45.0)) == (True, True)
+    assert route_verdict(center, 5_000.0, destination(*center, 6_000.0, 45.0)) == (False, True)
+    assert route_verdict(center, 5_000.0, destination(*center, 6_000.0, 0.0)) == (False, False)
+
+
+def test_inner_bound_is_off_where_the_band_is_infinite():
+    circle = Circle(GeoPoint(0.0, 0.0), 1.1 * QUARTER_MERIDIAN_M, True)
+    assert circle.band == math.inf and circle.inner == -math.inf
+    assert route_verdict((0.0, 0.0), 1.1 * QUARTER_MERIDIAN_M, (0.0, 0.0)) == (True, True)
 
 
 @st.composite

@@ -1,10 +1,12 @@
 """End-to-end broker/client tests over real TCP connections."""
 
 import csv
+import gc
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -675,6 +677,27 @@ class TestBatchedFrames:
 
 class TestStop:
     """stop() ends what start() started, and returns only then."""
+
+    def test_a_start_that_cannot_bind_the_admin_port_leaves_no_socket_open(self):
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        with socket.socket() as probe:  # a client port that is free now
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        broker = Broker(host="127.0.0.1", port=port, admin_host="127.0.0.1",
+                        admin_port=taken.getsockname()[1], event_log=EventLog(()))
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError):
+                    broker.start()
+                gc.collect()
+        finally:
+            taken.close()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
 
     @staticmethod
     def started(events=None):
