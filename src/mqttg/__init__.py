@@ -1,83 +1,7 @@
-"""MQTT 3.1.1 with embedded geolocation: wire codec, broker, client, tools."""
+"""MQTT 3.1.1 with embedded geolocation: wire codec, broker, client, tools.
 
-from .broker import Broker, BrokerState, Delivery, LocationRecord, admin_request
-from .client import ClientConfig, GeoMode, InboundMessage, MqttgClient, connect
-from .codec import (
-    Connack,
-    Connect,
-    ConstraintKind,
-    ControlPacket,
-    Disconnect,
-    GeoConstraint,
-    GeoLocation,
-    PacketType,
-    Pingreq,
-    Pingresp,
-    PubAck,
-    PubComp,
-    PubRec,
-    PubRel,
-    Publish,
-    Suback,
-    Subscribe,
-    TopicFilter,
-    Unsuback,
-    Unsubscribe,
-    Will,
-    decode_packet,
-    encode_packet,
-)
-from .geo import (
-    FenceMode,
-    GeofencePolygon,
-    GeoPoint,
-    haversine_distance,
-    inside_radius,
-    point_in_polygon,
-    resolve_polygon,
-)
+Each name is imported from its own module (``mqttg.codec``,
+``mqttg.broker``, ``mqttg.client``, ...); the package root re-exports none.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Broker",
-    "BrokerState",
-    "ClientConfig",
-    "Connack",
-    "Connect",
-    "ConstraintKind",
-    "ControlPacket",
-    "Delivery",
-    "Disconnect",
-    "FenceMode",
-    "GeoConstraint",
-    "GeoLocation",
-    "GeoMode",
-    "GeoPoint",
-    "GeofencePolygon",
-    "InboundMessage",
-    "LocationRecord",
-    "MqttgClient",
-    "PacketType",
-    "Pingreq",
-    "Pingresp",
-    "PubAck",
-    "PubComp",
-    "PubRec",
-    "PubRel",
-    "Publish",
-    "Suback",
-    "Subscribe",
-    "TopicFilter",
-    "Unsuback",
-    "Unsubscribe",
-    "Will",
-    "admin_request",
-    "connect",
-    "decode_packet",
-    "encode_packet",
-    "haversine_distance",
-    "inside_radius",
-    "point_in_polygon",
-    "resolve_polygon",
-]

@@ -130,17 +130,11 @@ class LocationRecord:
     cumulative_distance_m: float = 0.0
     last_speed_kmh: float | None = None
     updates: int = 1
+    segment_m: float = 0.0  # distance from the previous fix
     point: GeoPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.point = GeoPoint(self.location.latitude, self.location.longitude)
-
-
-@dataclass(frozen=True, slots=True)
-class LocationUpdate:
-    record: LocationRecord
-    segment_m: float
-    speed_kmh: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,13 +226,13 @@ class BrokerState:
         writes: list[Write] = []
         reply = None
         retained: list[tuple[str, bytes, int]] = []
-        update: LocationUpdate | None = None
+        fix: LocationRecord | None = None
         if geo is not None:
             session.geo_capable = True
             if geo.is_evaluable:
                 # Location lands in the table before any routing below.
-                update = self.update_last_location(cid, geo, now)
-        row = "LOCATION" if update else None
+                fix = self.update_last_location(cid, geo, now)
+        row = "LOCATION" if fix else None
 
         if isinstance(body, Publish):
             if body.qos == 2 and body.packet_id in (session.incoming_qos2 or ()):
@@ -299,9 +293,9 @@ class BrokerState:
             self.events.emit(
                 cid,
                 row,
-                geo=update.record.location if update else None,
-                distance_m=update.segment_m if update else None,
-                speed_kmh=update.speed_kmh if update else None,
+                geo=fix.location if fix else None,
+                distance_m=fix.segment_m if fix else None,
+                speed_kmh=fix.last_speed_kmh if fix else None,
             )
         return writes, True
 
@@ -382,19 +376,18 @@ class BrokerState:
 
     def update_last_location(
         self, client_id: str, geo: GeoLocation, now: float
-    ) -> LocationUpdate:
+    ) -> LocationRecord:
         record = LocationRecord(client_id, geo, now)
         prior = self.locations.get(client_id)
-        segment, speed = 0.0, None
         if prior is not None:
             segment = haversine_distance(prior.point, record.point)
             dt = now - prior.received_at
-            speed = (segment / dt) * 3.6 if dt > 0 else None
+            record.segment_m = segment
             record.cumulative_distance_m = prior.cumulative_distance_m + segment
-            record.last_speed_kmh = speed
+            record.last_speed_kmh = (segment / dt) * 3.6 if dt > 0 else None
             record.updates = prior.updates + 1
         self.locations[client_id] = record
-        return LocationUpdate(record, segment, speed)
+        return record
 
     # -- subscriptions ------------------------------------------------------
 

@@ -158,7 +158,10 @@ def _parse_constraint(args) -> GeoConstraint | None:
         parts = text.split(",")
         if len(parts) != 3:
             raise MQTTgError(f"expected R,LAT,LON, got {text!r}")
-        radius, lat, lon = (float(p) for p in parts)
+        try:
+            radius, lat, lon = (float(p) for p in parts)
+        except ValueError:
+            raise MQTTgError(f"expected R,LAT,LON as numbers, got {text!r}") from None
         return GeoConstraint(kind, radius, lat, lon)
     return None
 

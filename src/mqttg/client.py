@@ -76,8 +76,6 @@ class ClientConfig:
     clean_session: bool = True
     will: Will | None = None
     connect_timeout: float = 10.0
-    retry_interval: float = 1.0  # doubles per attempt
-    max_retries: int = 5
 
     def __post_init__(self) -> None:
         if not self.client_id:
@@ -203,10 +201,8 @@ class MqttgClient:
             self._send(ControlPacket(Publish(topic, payload, 0, retain), self._geo()))
             return
         with self._acked_flow("await_puback" if qos == 1 else "await_pubrec") as (pid, flow):
-            self._send_with_retries(
-                lambda dup: ControlPacket(
-                    Publish(topic, payload, qos, retain, dup, pid), self._geo()
-                ),
+            self._exchange(
+                ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), self._geo()),
                 flow,
                 f"QoS {qos} publish to {topic!r}",
             )
@@ -215,10 +211,8 @@ class MqttgClient:
                 relflow = _Flow("await_pubcomp")
                 with self._state_lock:
                     self._flows[pid] = relflow
-                self._send_with_retries(
-                    lambda dup: ControlPacket(PubRel(pid), self._geo()),
-                    relflow,
-                    f"QoS 2 release to {topic!r}",
+                self._exchange(
+                    ControlPacket(PubRel(pid), self._geo()), relflow, f"QoS 2 release to {topic!r}"
                 )
 
     def subscribe(
@@ -229,10 +223,8 @@ class MqttgClient:
             raise SubscriptionRefused(f"invalid topic filter {topic!r}")
         self._require_connected()
         with self._acked_flow("await_suback") as (pid, flow):
-            self._send_with_retries(
-                lambda dup: ControlPacket(
-                    Subscribe(pid, (TopicFilter(topic, qos, constraint),)), self._geo()
-                ),
+            self._exchange(
+                ControlPacket(Subscribe(pid, (TopicFilter(topic, qos, constraint),)), self._geo()),
                 flow,
                 f"subscribe {topic!r}",
             )
@@ -245,8 +237,8 @@ class MqttgClient:
     def unsubscribe(self, topic: str) -> None:
         self._require_connected()
         with self._acked_flow("await_unsuback") as (pid, flow):
-            self._send_with_retries(
-                lambda dup: ControlPacket(Unsubscribe(pid, (topic,)), self._geo()),
+            self._exchange(
+                ControlPacket(Unsubscribe(pid, (topic,)), self._geo()),
                 flow,
                 f"unsubscribe {topic!r}",
             )
@@ -307,24 +299,16 @@ class MqttgClient:
             sock.sendall(data)
             self._last_send = time.monotonic()
 
-    def _send_with_retries(
-        self, make: Callable[[bool], ControlPacket], flow: _Flow, what: str
-    ) -> None:
-        """Send and await the flow's ack, retransmitting with DUP on timeout."""
-        self._send(make(False))
-        delay = self.config.retry_interval
-        for attempt in range(self.config.max_retries + 1):
-            if flow.event.wait(delay):
-                if flow.failed:
-                    raise NotConnected(f"connection lost during {what}")
-                return
-            if attempt == self.config.max_retries:
-                break
-            logger.debug("retransmitting %s (attempt %d)", what, attempt + 1)
-            self._require_connected()
-            self._send(make(True))
-            delay *= 2
-        raise DeliveryTimeout(f"{what} unacknowledged after {self.config.max_retries} retries")
+    def _exchange(self, packet: ControlPacket, flow: _Flow, what: str) -> None:
+        """Send ``packet`` once and await the flow's reply for 1.5 x the
+        keep-alive, MQTT's deadline for a silent peer. TCP resends what the
+        network loses, so nothing is resent in the session."""
+        deadline = 1.5 * self.config.keep_alive
+        self._send(packet)
+        if not flow.event.wait(deadline):
+            raise DeliveryTimeout(f"{what} unacknowledged after {deadline:g} s")
+        if flow.failed:
+            raise NotConnected(f"connection lost during {what}")
 
     def _reader_loop(self) -> None:
         sock, reader = self._sock, self._reader
@@ -408,7 +392,3 @@ class MqttgClient:
             except OSError:
                 pass
 
-
-def connect(config: ClientConfig) -> MqttgClient:
-    """Open a connection and return the connected client handle."""
-    return MqttgClient(config).connect()

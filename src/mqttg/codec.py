@@ -72,7 +72,10 @@ class ConstraintKind(IntEnum):
 
 
 def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        raise EncodeError(f"{value!r} does not fit a 32-bit float") from None
 
 
 _new = object.__new__

@@ -66,7 +66,9 @@ class SubscriptionRefused(ClientError):
 
 
 class DeliveryTimeout(ClientError):
-    """QoS flow did not complete within the configured retries."""
+    """An acknowledged exchange did not complete: its packet, sent once and
+    never resent, had no reply within 1.5 x the keep-alive, or no packet
+    identifier was free."""
 
 
 class RouteFormatError(MQTTgError):

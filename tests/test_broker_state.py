@@ -37,33 +37,33 @@ def make_state(*clients):
 class TestLocationTable:
     def test_first_fix(self):
         state = make_state("a")
-        update = state.update_last_location("a", geo(1.0, 2.0), 100.0)
-        assert update.record.cumulative_distance_m == 0.0
-        assert update.record.last_speed_kmh is None
-        assert update.segment_m == 0.0
+        record = state.update_last_location("a", geo(1.0, 2.0), 100.0)
+        assert record.cumulative_distance_m == 0.0
+        assert record.last_speed_kmh is None
+        assert record.segment_m == 0.0
 
     def test_thirty_second_fix_speed(self):
         # 0.00224830 degrees of equatorial arc in 30 s is ~250 m, ~30 km/h
         state = make_state("a")
         state.update_last_location("a", geo(0.0, 0.0), 0.0)
-        update = state.update_last_location("a", geo(0.0, 0.00224830), 30.0)
-        assert update.segment_m == pytest.approx(250.0, abs=0.01)
-        assert update.speed_kmh == pytest.approx(30.0, abs=0.001)
-        assert update.record.cumulative_distance_m == pytest.approx(250.0, abs=0.01)
+        record = state.update_last_location("a", geo(0.0, 0.00224830), 30.0)
+        assert record.segment_m == pytest.approx(250.0, abs=0.01)
+        assert record.last_speed_kmh == pytest.approx(30.0, abs=0.001)
+        assert record.cumulative_distance_m == pytest.approx(250.0, abs=0.01)
 
     def test_same_location_twice(self):
         state = make_state("a")
         state.update_last_location("a", geo(5.0, 5.0), 0.0)
-        update = state.update_last_location("a", geo(5.0, 5.0), 10.0)
-        assert update.segment_m == 0.0
-        assert update.speed_kmh == 0.0
+        record = state.update_last_location("a", geo(5.0, 5.0), 10.0)
+        assert record.segment_m == 0.0
+        assert record.last_speed_kmh == 0.0
 
     def test_non_positive_dt_stores_fix_without_speed(self):
         state = make_state("a")
         state.update_last_location("a", geo(0.0, 0.0), 50.0)
-        update = state.update_last_location("a", geo(0.0, 1.0), 50.0)
-        assert update.speed_kmh is None
-        assert update.record.cumulative_distance_m > 0
+        record = state.update_last_location("a", geo(0.0, 1.0), 50.0)
+        assert record.last_speed_kmh is None
+        assert record.cumulative_distance_m > 0
         assert state.locations["a"].location.longitude == 1.0
 
     def test_cumulative_is_sum_of_segments(self):
@@ -73,9 +73,9 @@ class TestLocationTable:
         prev = None
         for t in range(40):
             g = geo(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            update = state.update_last_location("a", g, float(t))
+            record = state.update_last_location("a", g, float(t))
             if prev is not None:
-                total += update.segment_m
+                total += record.segment_m
             prev = g
             assert state.locations["a"].cumulative_distance_m >= 0
         assert state.locations["a"].cumulative_distance_m == pytest.approx(total, rel=1e-9)

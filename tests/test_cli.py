@@ -100,6 +100,21 @@ class TestPubSubReplay:
         assert exit_info.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pub", "-t", "a", "-m", "y", "--lat", "1", "--lon", "2", "--elev", "1e39"],
+             "does not fit a 32-bit float"),
+            (["sub", "-t", "a", "--inside-radius", "1e39,0,0"], "does not fit a 32-bit float"),
+            (["sub", "-t", "a", "--inside-radius", "x,0,0"], "R,LAT,LON"),
+        ],
+        ids=["elevation-beyond-f32", "radius-beyond-f32", "radius-not-a-number"],
+    )
+    def test_a_value_the_wire_cannot_carry_is_a_usage_error(self, argv, message, capsys):
+        assert main([*argv, "--port", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_pub_connect_failure_nonzero_exit(self):
         result = run_cli("pub", "--port", "1", "-t", "x", "-m", "y")
         assert result.returncode != 0

@@ -53,7 +53,6 @@ def test_attach_all_puts_geo_on_every_capable_packet(broker):
         port=tap.port,
         geo_mode=GeoMode.ATTACH_ALL,
         location_source=lambda: fix,
-        retry_interval=0.5,
     )
     client = MqttgClient(config).connect()
     helper = MqttgClient(ClientConfig(client_id="helper", port=broker.port)).connect()
@@ -235,26 +234,31 @@ def test_a_publish_that_arrives_with_the_connack_is_dispatched():
             peer[0].close()
 
 
-def test_qos1_retransmits_with_dup_then_times_out():
+@pytest.mark.parametrize(
+    "operation, packet_type",
+    [
+        (lambda client: client.publish("t", b"x", qos=1), PacketType.PUBLISH),
+        (lambda client: client.subscribe("t", qos=1), PacketType.SUBSCRIBE),
+    ],
+    ids=["qos1-publish", "subscribe"],
+)
+def test_an_unanswered_packet_is_sent_once_then_times_out(operation, packet_type):
+    """TCP resends what the network loses, so the client sends each packet
+    once and gives up after 1.5 x the keep-alive."""
     silent = _SilentBroker()
-    config = ClientConfig(
-        client_id="retry",
-        port=silent.port,
-        retry_interval=0.05,
-        max_retries=2,
-    )
-    client = MqttgClient(config).connect()
+    client = MqttgClient(ClientConfig(client_id="once", port=silent.port, keep_alive=1)).connect()
     try:
+        started = time.monotonic()
         with pytest.raises(DeliveryTimeout):
-            client.publish("t", b"x", qos=1)
+            operation(client)
+        waited = time.monotonic() - started
     finally:
         client.disconnect()
     silent.done.wait(2.0)
-    publishes = [decode_packet(f) for f in silent.frames if f[0] >> 4 == PacketType.PUBLISH]
-    assert len(publishes) == 3  # original + 2 retries
-    assert publishes[0].body.dup is False
-    assert all(p.body.dup for p in publishes[1:])
-    assert len({p.body.packet_id for p in publishes}) == 1
+    sent = [f for f in silent.frames if f[0] >> 4 == packet_type]
+    assert len(sent) == 1
+    assert sent[0][0] & 0x08 == 0  # DUP clear
+    assert 1.5 <= waited < 3.0
 
 
 def test_inbound_qos2_delivers_exactly_once(broker):

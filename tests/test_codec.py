@@ -417,6 +417,18 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode_geolocation(GeoLocation(1, 91.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GeoLocation(1, 0.0, 0.0, 1e39),
+            lambda: GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1e39, 0.0, 0.0),
+        ],
+        ids=["elevation", "radius"],
+    )
+    def test_value_beyond_a_32_bit_float(self, make):
+        with pytest.raises(EncodeError, match="32-bit float"):
+            make()
+
 
 # ---------------------------------------------------------------------------
 # Properties

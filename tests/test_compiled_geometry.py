@@ -16,7 +16,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mqttg import broker
+import mqttg.broker as broker
 from mqttg.broker import BrokerState
 from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
 from mqttg.errors import InvalidCoordinates, InvalidPolygon

@@ -7,6 +7,8 @@ the event rows are read from a StringIO log.
 
 import csv
 import io
+import subprocess
+import sys
 
 import mqttg.broker
 from mqttg.broker import BrokerState
@@ -191,3 +193,13 @@ def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
     writes, _ = state.receive("geo1", ControlPacket(Subscribe(2, (TopicFilter("fleet/truck", 2),))), 0.0)
     assert writes[-1] == ("geo1", expected("geo1", 2, None, retain=True))
 
+
+def test_importing_the_broker_does_not_load_the_client():
+    """The broker starts without the client library: the package root
+    re-exports nothing, so ``import mqttg.broker`` loads only what it uses."""
+    probe = "import mqttg.broker, sys; print('mqttg.client' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from mqttg import broker as broker_module
+import mqttg.broker as broker_module
 from mqttg.broker import Broker, admin_request
 from mqttg.client import ClientConfig, GeoMode, MqttgClient
 from mqttg.codec import (
@@ -56,7 +56,6 @@ def mk_client(broker, client_id, location=None, **kw):
         geo_mode=mode,
         location_source=source,
         connect_timeout=5.0,
-        retry_interval=0.5,
         **kw,
     )
     return MqttgClient(config).connect()
