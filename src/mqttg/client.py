@@ -48,6 +48,7 @@ from .errors import (
     ConnectRefused,
     ConnectTimeout,
     DeliveryTimeout,
+    MQTTgError,
     NotConnected,
     SubscriptionRefused,
 )
@@ -79,9 +80,9 @@ class ClientConfig:
 
     def __post_init__(self) -> None:
         if not self.client_id:
-            raise ValueError("client_id must be non-empty")
-        if self.keep_alive <= 0:
-            raise ValueError("keep_alive must be > 0")
+            raise MQTTgError("client_id must be non-empty")
+        if not 1 <= self.keep_alive <= 65535:
+            raise MQTTgError(f"keep_alive must be in 1..65535 s, got {self.keep_alive}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,9 @@ class _Flow:
 class MqttgClient:
     """A connected client handle; safe to share between threads. Its one
     thread reads the socket, and sends a PINGREQ once nothing has been sent
-    for 0.75 x the keep-alive. Other threads only shut the socket down; the
-    reader closes it when it ends."""
+    for 0.75 x the keep-alive; if nothing arrives within 1.5 x the
+    keep-alive of that ping, it closes the connection. Other threads only
+    shut the socket down; the reader closes it when it ends."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
@@ -312,20 +314,28 @@ class MqttgClient:
 
     def _reader_loop(self) -> None:
         sock, reader = self._sock, self._reader
+        keep_alive = self.config.keep_alive
+        answer_by = float("inf")  # an unanswered PINGREQ closes the connection then
         try:
             with selectors.DefaultSelector() as selector:
                 selector.register(sock, selectors.EVENT_READ)
                 while True:
                     while not reader.holds_frame():
-                        # a send from another thread moves the deadline
-                        due = self._last_send + 0.75 * self.config.keep_alive - time.monotonic()
+                        now = time.monotonic()
+                        if now >= answer_by:
+                            logger.warning("no answer to PINGREQ in %g s; closing", 1.5 * keep_alive)
+                            return
+                        # a send from another thread moves the ping
+                        due = self._last_send + 0.75 * keep_alive - now
                         if due <= 0:
                             self._send(ControlPacket(Pingreq(), self._geo()))
-                        elif selector.select(due):
+                            answer_by = min(answer_by, now + 1.5 * keep_alive)
+                        elif selector.select(min(due, answer_by - now)):
                             break
                     frame = read_frame(reader)
                     if frame is None:
                         break
+                    answer_by = float("inf")
                     self._dispatch(decode_packet(frame))
         except (ConnectionError, OSError):
             pass

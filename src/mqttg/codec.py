@@ -343,13 +343,11 @@ def encode_remaining_length(n: int) -> bytes:
 def decode_remaining_length(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Return (value, next offset); at most four bytes are consumed."""
     value = 0
-    multiplier = 1
     for i in range(4):
         if offset + i >= len(data):
             raise MalformedPacket("truncated remaining length")
         byte = data[offset + i]
-        value += (byte & 0x7F) * multiplier
-        multiplier *= 128
+        value += (byte & 0x7F) << 7 * i
         if not byte & 0x80:
             return value, offset + i + 1
     raise MalformedPacket("remaining length uses more than 4 bytes")

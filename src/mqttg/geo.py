@@ -160,17 +160,12 @@ class Circle:
         )
 
 
-def _wrap180(delta: float) -> float:
-    """Fold a longitude difference into (-180, 180]."""
-    wrapped = math.fmod(delta + 180.0, 360.0)
+def normalize_longitude(lon: float) -> float:
+    """Fold a longitude, or a difference of two, into (-180, 180]."""
+    wrapped = math.fmod(lon + 180.0, 360.0)
     if wrapped <= 0.0:
         wrapped += 360.0
     return wrapped - 180.0
-
-
-def normalize_longitude(lon: float) -> float:
-    """Fold an absolute longitude into (-180, 180]."""
-    return _wrap180(lon)
 
 
 _BOX_SLACK = 1e-9  # degrees
@@ -191,7 +186,7 @@ class Ring:
 
     def __init__(self, vertices: Sequence[GeoPoint]) -> None:
         ref = self.ref = vertices[0].longitude
-        self.points = tuple((ref + _wrap180(v.longitude - ref), v.latitude) for v in vertices)
+        self.points = tuple((ref + normalize_longitude(v.longitude - ref), v.latitude) for v in vertices)
         xs = [x for x, _ in self.points]
         ys = [y for _, y in self.points]
         self.west, self.east = min(xs) - _BOX_SLACK, max(xs) + _BOX_SLACK
@@ -201,7 +196,7 @@ class Ring:
         """False for a point the ring cannot contain."""
         if not self.south <= p.latitude <= self.north:
             return False
-        x = self.ref + _wrap180(p.longitude - self.ref)
+        x = self.ref + normalize_longitude(p.longitude - self.ref)
         return self.west <= x <= self.east
 
 
@@ -274,7 +269,7 @@ def point_in_polygon(p: GeoPoint, vertices: Ring | Sequence[GeoPoint]) -> bool:
     """
     ring = vertices if isinstance(vertices, Ring) else Ring(vertices)
     ref = ring.ref
-    px = ref + _wrap180(p.longitude - ref)
+    px = ref + normalize_longitude(p.longitude - ref)
     py = p.latitude
     inside = False
     x1, y1 = ring.points[-1]

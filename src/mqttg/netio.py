@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 
+from .codec import decode_remaining_length
 from .errors import MalformedPacket
 
 # Bytes asked of the socket per recv when fewer are wanted: a dozen small
@@ -15,46 +16,43 @@ CHUNK = 448
 
 
 class SocketBuffer:
-    """One connection's reader. It asks the socket for a chunk only when
-    it holds no bytes, and serves ``recv(n)`` from that chunk, so frames
-    that arrive together cost one ``recv`` between them. Give it in place
-    of the socket to ``read_frame`` and ``recv_exact``; every read of the
-    connection must go through it, or bytes it holds are skipped."""
+    """One connection's reader: the bytes received from ``sock`` that
+    ``read_frame`` has not returned yet, from ``pos`` on. Frames that
+    arrive together cost one ``recv`` between them. Every read of the
+    connection must go through ``read_frame``, or bytes held here are
+    skipped."""
 
-    __slots__ = ("_sock", "_data", "_pos")
+    __slots__ = ("sock", "data", "pos")
 
     def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._data = b""
-        self._pos = 0
+        self.sock = sock
+        self.data = b""
+        self.pos = 0
 
-    def recv(self, n: int) -> bytes:
-        """Up to ``n`` bytes; b"" only at EOF."""
-        data, pos = self._data, self._pos
-        if pos == len(data):
-            data = self._data = self._sock.recv(max(n, CHUNK))
-            pos = 0
-        end = min(pos + n, len(data))
-        self._pos = end
-        return data[pos:end]
+    def frame_end(self) -> int:
+        """Where in ``data`` the next frame ends, or ``len(data) + 1`` while
+        its remaining length is incomplete. Raises MalformedPacket for one
+        that would use more than four bytes."""
+        data, pos = self.data, self.pos
+        if len(data) - pos >= 2:
+            try:
+                remaining, body = decode_remaining_length(data, pos + 1)
+                return body + remaining
+            except MalformedPacket:
+                if len(data) - pos >= 5:
+                    raise
+        return len(data) + 1
 
     def holds_frame(self) -> bool:
         """Whether ``read_frame`` can return (or reject) the next frame
-        without a recv: the whole frame is held, or a first byte and four
-        continuation bytes of a remaining length it will refuse."""
-        data, pos = self._data, self._pos
-        end = len(data)
-        remaining, multiplier = 0, 1
-        for i in range(pos + 1, min(pos + 5, end)):
-            byte = data[i]
-            remaining += (byte & 0x7F) * multiplier
-            if not byte & 0x80:
-                return i + 1 + remaining <= end
-            multiplier *= 128
-        return end - pos >= 5
+        without a recv."""
+        try:
+            return self.frame_end() <= len(self.data)
+        except MalformedPacket:
+            return True
 
 
-def recv_exact(sock: socket.socket | SocketBuffer, n: int) -> bytes:
+def recv_exact(sock: socket.socket, n: int) -> bytes:
     """Read exactly ``n`` bytes or raise ConnectionError on EOF."""
     chunks = bytearray()
     while len(chunks) < n:
@@ -65,30 +63,28 @@ def recv_exact(sock: socket.socket | SocketBuffer, n: int) -> bytes:
     return bytes(chunks)
 
 
-def read_frame(sock: socket.socket | SocketBuffer) -> bytes | None:
-    """Read one whole control packet off the socket.
-
-    Returns the raw packet bytes (fixed header included), or None on a
-    clean EOF at a packet boundary.
-    """
-    try:
-        first = sock.recv(1)
-    except (ConnectionResetError, BrokenPipeError):
-        return None
-    if not first:
-        return None
-    header = bytearray(first)
-    remaining = 0
-    multiplier = 1
-    for _ in range(4):
-        byte = recv_exact(sock, 1)[0]
-        header.append(byte)
-        remaining += (byte & 0x7F) * multiplier
-        multiplier *= 128
-        if not byte & 0x80:
-            break
-    else:
-        raise MalformedPacket("remaining length uses more than 4 bytes")
-    if remaining:
-        header += recv_exact(sock, remaining)
-    return bytes(header)
+def read_frame(reader: SocketBuffer) -> bytes | None:
+    """Read one whole control packet: its bytes, fixed header included, or
+    None on an EOF or a reset at a packet boundary. A frame the reader
+    holds comes back with no recv; otherwise each recv asks for ``CHUNK``
+    bytes, and a body that misses more is read in one ``recv_exact``."""
+    while True:
+        data, pos = reader.data, reader.pos
+        end = reader.frame_end()
+        if end <= len(data):
+            reader.pos = end
+            return data[pos:end]
+        held = data[pos:]
+        if end - len(data) > CHUNK:
+            frame = held + recv_exact(reader.sock, end - len(data))
+            reader.data, reader.pos = b"", 0
+            return frame
+        try:
+            chunk = reader.sock.recv(CHUNK)
+        except (ConnectionResetError, BrokenPipeError):
+            chunk = b""
+        if not chunk:
+            if held:
+                raise ConnectionError("connection closed mid-packet")
+            return None
+        reader.data, reader.pos = held + chunk, 0

@@ -107,8 +107,11 @@ class TestPubSubReplay:
              "does not fit a 32-bit float"),
             (["sub", "-t", "a", "--inside-radius", "1e39,0,0"], "does not fit a 32-bit float"),
             (["sub", "-t", "a", "--inside-radius", "x,0,0"], "R,LAT,LON"),
+            (["pub", "-t", "a", "-m", "y", "--keep-alive", "0"], "keep_alive"),
+            (["pub", "-t", "a", "-m", "y", "--keep-alive", "70000"], "keep_alive"),
         ],
-        ids=["elevation-beyond-f32", "radius-beyond-f32", "radius-not-a-number"],
+        ids=["elevation-beyond-f32", "radius-beyond-f32", "radius-not-a-number",
+             "keep-alive-zero", "keep-alive-beyond-u16"],
     )
     def test_a_value_the_wire_cannot_carry_is_a_usage_error(self, argv, message, capsys):
         assert main([*argv, "--port", "1"]) == 1

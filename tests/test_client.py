@@ -21,6 +21,7 @@ from mqttg.codec import (
 from mqttg.errors import DeliveryTimeout, MalformedPacket
 
 from nettap import Tap
+from rawsock import read_frame
 
 GEO_CAPABLE = {
     PacketType.PUBLISHG,
@@ -164,8 +165,6 @@ class _SilentBroker:
         threading.Thread(target=self._serve, daemon=True).start()
 
     def _serve(self):
-        from mqttg.netio import read_frame
-
         with self.listener:
             sock, _ = self.listener.accept()
         with sock:
@@ -259,6 +258,23 @@ def test_an_unanswered_packet_is_sent_once_then_times_out(operation, packet_type
     assert len(sent) == 1
     assert sent[0][0] & 0x08 == 0  # DUP clear
     assert 1.5 <= waited < 3.0
+
+
+def test_an_unanswered_ping_closes_the_connection():
+    """MQTT 3.1.1 section 3.1.2.10: a client whose PINGREQ gets no answer
+    in a reasonable time closes the connection. The ping goes out 0.75 s
+    into the keep-alive of 1 s, and the answer is due 1.5 s after it."""
+    silent = _SilentBroker()
+    client = MqttgClient(ClientConfig(client_id="unanswered", port=silent.port, keep_alive=1)).connect()
+    try:
+        ends = time.monotonic() + 3.0
+        while client.connected and time.monotonic() < ends:
+            time.sleep(0.05)
+        assert not client.connected
+        assert silent.done.wait(2.0)  # the client closed the socket
+        assert {f[0] >> 4 for f in silent.frames} == {PacketType.PINGREQ}
+    finally:
+        client.disconnect()
 
 
 def test_inbound_qos2_delivers_exactly_once(broker):

@@ -1,5 +1,5 @@
-"""SocketBuffer: one recv per chunk, the same frames as reading the socket
-frame by frame."""
+"""SocketBuffer and read_frame: one recv per chunk, and the same frames
+wherever the stream is cut."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 import gen
-from mqttg.codec import ControlPacket, Pingreq, Publish, encode_packet
+from mqttg.codec import ControlPacket, Pingreq, Publish, encode_packet, encode_remaining_length
 from mqttg.errors import MalformedPacket
 from mqttg.netio import CHUNK, SocketBuffer, read_frame
 
@@ -40,6 +40,15 @@ class FakeSocket:
         return head[:n]
 
 
+class ResettingSocket(FakeSocket):
+    """A FakeSocket whose peer resets the connection after the last chunk."""
+
+    def recv(self, n: int) -> bytes:
+        if not self.chunks:
+            raise ConnectionResetError
+        return super().recv(n)
+
+
 def read_all(source) -> list[bytes]:
     frames = []
     while (frame := read_frame(source)) is not None:
@@ -62,10 +71,6 @@ STREAM = b"".join(FRAMES)
 def test_corpus_has_every_length_form():
     lengths = {len(f) for f in FRAMES}
     assert 2 in lengths and max(lengths) > 130  # 0, 1-byte and 2-byte remaining lengths
-
-
-def test_per_frame_path_reads_the_corpus():
-    assert read_all(FakeSocket([STREAM])) == FRAMES
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
@@ -128,3 +133,60 @@ def test_eof_at_a_boundary_ends_and_mid_frame_raises():
 def test_a_five_byte_remaining_length_is_malformed():
     with pytest.raises(MalformedPacket):
         read_frame(SocketBuffer(FakeSocket([b"\x30\xff\xff\xff\xff\x01"])))
+    with pytest.raises(MalformedPacket):  # known at the fourth continuation byte
+        read_frame(SocketBuffer(FakeSocket([b"\x30\xff\xff\xff\xff"], then_raise=True)))
+
+
+# The largest remaining length of each width and the smallest of the next:
+# 1 | 2, 2 | 3 and 3 | 4 bytes.
+WIDTH_BOUNDARIES = [127, 128, 16383, 16384, 2097151, 2097152]
+
+
+def frame_of_length(remaining: int) -> bytes:
+    """A QoS 0 PUBLISH whose remaining length is ``remaining``."""
+    return encode_packet(ControlPacket(Publish("t", bytes(remaining - 3))))
+
+
+@pytest.mark.parametrize("remaining", WIDTH_BOUNDARIES)
+def test_a_length_at_a_width_boundary_reads_whole_wherever_it_is_cut(remaining):
+    frame = frame_of_length(remaining)
+    width = len(encode_remaining_length(remaining))
+    assert len(frame) == 1 + width + remaining
+    ping = encode_packet(ControlPacket(Pingreq()))
+    stream = ping + frame + ping
+    for cut in range(len(ping), len(ping) + width + 3):  # before, inside and after the length
+        assert read_all(SocketBuffer(FakeSocket([stream[:cut], stream[cut:]]))) == [ping, frame, ping]
+    assert read_all(SocketBuffer(FakeSocket([stream[:-1], stream[-1:]]))) == [ping, frame, ping]
+
+
+@pytest.mark.parametrize("remaining", WIDTH_BOUNDARIES)
+def test_holds_frame_waits_for_every_length_byte_and_the_body(remaining):
+    ping = encode_packet(ControlPacket(Pingreq()))
+    frame = frame_of_length(remaining)
+    body = len(frame) - remaining
+    ends = [*range(1, body + 2)]
+    if len(ping + frame) <= CHUNK:
+        ends += [len(frame) - 1, len(frame)]
+    for end in ends:
+        sock = FakeSocket([ping + frame[:end]], then_raise=True)
+        reader = SocketBuffer(sock)
+        assert read_frame(reader) == ping
+        whole = end == len(frame)
+        assert reader.holds_frame() is whole, end
+        if whole:
+            assert read_frame(reader) == frame
+        else:
+            with pytest.raises(NeedsRecv):
+                read_frame(reader)
+
+
+def test_a_reset_at_a_boundary_reads_as_eof_and_mid_frame_raises():
+    frame = FRAMES[-2]
+    reader = SocketBuffer(ResettingSocket([frame]))
+    assert read_frame(reader) == frame
+    assert read_frame(reader) is None
+    assert read_frame(SocketBuffer(ResettingSocket([]))) is None
+    big = frame_of_length(16384)
+    for cut in (frame[:1], frame[:2], frame[:3], frame[:-1], big[: 2 * CHUNK]):
+        with pytest.raises(ConnectionError):
+            read_frame(SocketBuffer(ResettingSocket([cut])))

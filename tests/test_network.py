@@ -37,8 +37,8 @@ from mqttg.codec import (
 )
 from mqttg.errors import ConnectTimeout, NotConnected, SubscriptionRefused
 from mqttg.eventlog import EventLog
-from mqttg.netio import read_frame
 
+from rawsock import read_frame
 from test_eventlog import FlushedText
 
 
