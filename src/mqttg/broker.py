@@ -43,7 +43,6 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 
 from .codec import (
     Connack,
@@ -91,6 +90,7 @@ from .geo import (
     resolve_polygon,
 )
 from .netio import SocketBuffer, read_frame
+from .record import FrozenRecord, Record
 from .topics import TopicTree, topic_filter_valid, topic_matches
 
 logger = logging.getLogger("mqttg.broker")
@@ -102,59 +102,73 @@ SUBACK_FAILURE = 0x80
 
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
 
+_set = object.__setattr__
 
-@dataclass(slots=True)
-class Subscription:
+
+class Subscription(Record):
     """A stored filter; a radius constraint is compiled to a geo.Circle."""
 
-    topic: str
-    qos: int
-    constraint: GeoConstraint | None = None
-    circle: Circle | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("topic", "qos", "constraint")
+    __slots__ = (*_fields, "circle")
 
-    def __post_init__(self) -> None:
-        c = self.constraint
-        if c is not None:
-            self.circle = Circle(
-                GeoPoint(c.latitude, c.longitude), c.radius, c.kind is ConstraintKind.INSIDE_RADIUS
-            )
+    def __init__(self, topic: str, qos: int, constraint: GeoConstraint | None = None) -> None:
+        self.topic = topic
+        self.qos = qos
+        self.constraint = c = constraint
+        self.circle = None if c is None else Circle(
+            GeoPoint(c.latitude, c.longitude), c.radius, c.kind is ConstraintKind.INSIDE_RADIUS
+        )
 
 
-@dataclass(slots=True)
-class LocationRecord:
+class LocationRecord(Record):
     """Last-known location of a client plus its trip accumulators."""
 
-    client_id: str
-    location: GeoLocation
-    received_at: float
-    cumulative_distance_m: float = 0.0
-    last_speed_kmh: float | None = None
-    updates: int = 1
-    segment_m: float = 0.0  # distance from the previous fix
-    point: GeoPoint = field(init=False, repr=False, compare=False)
+    _fields = ("client_id", "location", "received_at", "cumulative_distance_m", "last_speed_kmh",
+               "updates", "segment_m")
+    __slots__ = (*_fields, "point")
 
-    def __post_init__(self) -> None:
-        self.point = GeoPoint(self.location.latitude, self.location.longitude)
+    def __init__(
+        self, client_id: str, location: GeoLocation, received_at: float,
+        cumulative_distance_m: float = 0.0, last_speed_kmh: float | None = None,
+        updates: int = 1, segment_m: float = 0.0,
+    ) -> None:
+        self.client_id = client_id
+        self.location = location
+        self.received_at = received_at
+        self.cumulative_distance_m = cumulative_distance_m
+        self.last_speed_kmh = last_speed_kmh
+        self.updates = updates
+        self.segment_m = segment_m  # distance from the previous fix
+        self.point = GeoPoint(location.latitude, location.longitude)
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
-    client_id: str
-    qos: int
-    include_geo: bool
+class Delivery(FrozenRecord):
+    __slots__ = _fields = ("client_id", "qos", "include_geo")
+
+    def __init__(self, client_id: str, qos: int, include_geo: bool) -> None:
+        _set(self, "client_id", client_id)
+        _set(self, "qos", qos)
+        _set(self, "include_geo", include_geo)
 
 
-@dataclass(slots=True)
-class SessionState:
-    client_id: str
-    subscriptions: dict[str, Subscription] = field(default_factory=dict)
-    geo_capable: bool = False
-    next_pid: int = 1
-    # QoS flow tables, made on first use: most sessions never need them
-    outbound: set[int] | None = None  # packet ids of unacknowledged deliveries
-    incoming_qos2: set[int] | None = None
-    owner: object = None  # the connection's handle; None for a session with no connection
-    will: Will | None = None
+class SessionState(Record):
+    __slots__ = _fields = ("client_id", "subscriptions", "geo_capable", "next_pid", "outbound",
+                           "incoming_qos2", "owner", "will")
+
+    def __init__(
+        self, client_id: str, subscriptions: dict[str, Subscription] | None = None,
+        geo_capable: bool = False, next_pid: int = 1, outbound: set[int] | None = None,
+        incoming_qos2: set[int] | None = None, owner: object = None, will: Will | None = None,
+    ) -> None:
+        self.client_id = client_id
+        self.subscriptions = {} if subscriptions is None else subscriptions
+        self.geo_capable = geo_capable
+        self.next_pid = next_pid
+        # QoS flow tables, made on first use: most sessions never need them
+        self.outbound = outbound  # packet ids of unacknowledged deliveries
+        self.incoming_qos2 = incoming_qos2
+        self.owner = owner  # the connection's handle; None for a session with no connection
+        self.will = will
 
 
 class _StoredFence:
@@ -894,14 +908,15 @@ class Broker:
     # -- admin socket -----------------------------------------------------------
 
     def _serve_admin(self, conn: _Conn) -> None:
+        """Answer each line in turn; one that is not UTF-8 gets ERR. Replies
+        are sent on the socket: a write to the text file would drop the
+        lines it has read ahead."""
         try:
-            with conn.sock.makefile("rw", encoding="utf-8", newline="\n") as fh:
-                for line in fh:
+            with conn.sock.makefile("r", encoding="utf-8", errors="replace", newline="\n") as lines:
+                for line in lines:
                     with self._lock:
                         replies = self.state.admin_command(line.strip())
-                    for reply in replies:
-                        fh.write(reply + "\n")
-                    fh.flush()
+                    conn.send("".join([reply + "\n" for reply in replies]).encode("utf-8"))
         except (ConnectionError, OSError):
             pass
         finally:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, NamedTuple, Union
 
@@ -34,6 +33,7 @@ from .errors import (
     ValueTooLarge,
 )
 from .geo import coordinates_valid
+from .record import FrozenRecord
 from .topics import topic_filter_valid, topic_name_bytes, topic_name_valid
 
 MAX_REMAINING_LENGTH = 268_435_455
@@ -79,10 +79,10 @@ def _f32(value: float) -> float:
 
 
 _new = object.__new__
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class GeoLocation:
+class GeoLocation(FrozenRecord):
     """The 21-byte version/latitude/longitude/elevation record.
 
     Coordinates are decimal degrees; elevation is meters above sea level
@@ -91,14 +91,18 @@ class GeoLocation:
     structurally and keep their raw bytes for verbatim re-encoding.
     """
 
-    version: int = 1
-    latitude: float = 0.0
-    longitude: float = 0.0
-    elevation: float = 0.0
-    raw: bytes | None = field(default=None, compare=False, repr=False)
+    _fields = ("version", "latitude", "longitude", "elevation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elevation", _f32(self.elevation))
+    def __init__(
+        self, version: int = 1, latitude: float = 0.0, longitude: float = 0.0,
+        elevation: float = 0.0, raw: bytes | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["version"] = version
+        fields["latitude"] = latitude
+        fields["longitude"] = longitude
+        fields["elevation"] = _f32(elevation)
+        fields["raw"] = raw
 
     @classmethod
     def _decoded(
@@ -115,123 +119,148 @@ class GeoLocation:
         fields["raw"] = raw
         return geo
 
+    __reduce__ = object.__reduce__  # a copy or pickle keeps the whole __dict__, raw included
+
     @property
     def is_evaluable(self) -> bool:
         """Only version-1 blocks take part in geofence evaluation."""
         return self.version == 1
 
 
-@dataclass(frozen=True)
-class GeoConstraint:
+class GeoConstraint(FrozenRecord):
     """Radius constraint of a geo-capable subscription filter."""
 
-    kind: ConstraintKind
-    radius: float  # meters, > 0
-    latitude: float
-    longitude: float
+    __slots__ = _fields = ("kind", "radius", "latitude", "longitude")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", _f32(self.radius))
-
-
-@dataclass(frozen=True)
-class TopicFilter:
-    topic: str
-    qos: int = 0
-    constraint: GeoConstraint | None = None
+    def __init__(self, kind: ConstraintKind, radius: float, latitude: float, longitude: float) -> None:
+        _set(self, "kind", kind)
+        _set(self, "radius", _f32(radius))  # meters, > 0
+        _set(self, "latitude", latitude)
+        _set(self, "longitude", longitude)
 
 
-@dataclass(frozen=True)
-class Will:
-    topic: str
-    payload: bytes = b""
-    qos: int = 0
-    retain: bool = False
+class TopicFilter(FrozenRecord):
+    __slots__ = _fields = ("topic", "qos", "constraint")
+
+    def __init__(self, topic: str, qos: int = 0, constraint: GeoConstraint | None = None) -> None:
+        _set(self, "topic", topic)
+        _set(self, "qos", qos)
+        _set(self, "constraint", constraint)
 
 
-@dataclass(frozen=True)
-class Connect:
-    client_id: str
-    clean_session: bool = True
-    keep_alive: int = 60
-    will: Will | None = None
-    username: str | None = None
-    password: bytes | None = None
-    protocol_level: int = 4
+class Will(FrozenRecord):
+    __slots__ = _fields = ("topic", "payload", "qos", "retain")
+
+    def __init__(self, topic: str, payload: bytes = b"", qos: int = 0, retain: bool = False) -> None:
+        _set(self, "topic", topic)
+        _set(self, "payload", payload)
+        _set(self, "qos", qos)
+        _set(self, "retain", retain)
 
 
-@dataclass(frozen=True)
-class Connack:
-    session_present: bool = False
-    return_code: int = 0
+class Connect(FrozenRecord):
+    __slots__ = _fields = (
+        "client_id", "clean_session", "keep_alive", "will", "username", "password", "protocol_level"
+    )
+
+    def __init__(
+        self, client_id: str, clean_session: bool = True, keep_alive: int = 60,
+        will: Will | None = None, username: str | None = None, password: bytes | None = None,
+        protocol_level: int = 4,
+    ) -> None:
+        _set(self, "client_id", client_id)
+        _set(self, "clean_session", clean_session)
+        _set(self, "keep_alive", keep_alive)
+        _set(self, "will", will)
+        _set(self, "username", username)
+        _set(self, "password", password)
+        _set(self, "protocol_level", protocol_level)
 
 
-@dataclass(frozen=True)
-class Publish:
-    topic: str
-    payload: bytes = b""
-    qos: int = 0
-    retain: bool = False
-    dup: bool = False
-    packet_id: int | None = None
+class Connack(FrozenRecord):
+    __slots__ = _fields = ("session_present", "return_code")
+
+    def __init__(self, session_present: bool = False, return_code: int = 0) -> None:
+        _set(self, "session_present", session_present)
+        _set(self, "return_code", return_code)
 
 
-@dataclass(frozen=True)
-class PubAck:
-    packet_id: int
+class Publish(FrozenRecord):
+    __slots__ = _fields = ("topic", "payload", "qos", "retain", "dup", "packet_id")
+
+    def __init__(
+        self, topic: str, payload: bytes = b"", qos: int = 0, retain: bool = False,
+        dup: bool = False, packet_id: int | None = None,
+    ) -> None:
+        _set(self, "topic", topic)
+        _set(self, "payload", payload)
+        _set(self, "qos", qos)
+        _set(self, "retain", retain)
+        _set(self, "dup", dup)
+        _set(self, "packet_id", packet_id)
 
 
-@dataclass(frozen=True)
-class PubRec:
-    packet_id: int
+class _PacketId(FrozenRecord):  # a body that is only a packet identifier
+    __slots__ = _fields = ("packet_id",)
+
+    def __init__(self, packet_id: int) -> None:
+        _set(self, "packet_id", packet_id)
 
 
-@dataclass(frozen=True)
-class PubRel:
-    packet_id: int
+class PubAck(_PacketId):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PubComp:
-    packet_id: int
+class PubRec(_PacketId):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Subscribe:
-    packet_id: int
-    filters: tuple[TopicFilter, ...]
+class PubRel(_PacketId):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Suback:
-    packet_id: int
-    return_codes: tuple[int, ...]
+class PubComp(_PacketId):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unsubscribe:
-    packet_id: int
-    topics: tuple[str, ...]
+class Unsuback(_PacketId):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unsuback:
-    packet_id: int
+class Subscribe(FrozenRecord):
+    __slots__ = _fields = ("packet_id", "filters")
+
+    def __init__(self, packet_id: int, filters: tuple[TopicFilter, ...]) -> None:
+        _set(self, "packet_id", packet_id)
+        _set(self, "filters", filters)
 
 
-@dataclass(frozen=True)
-class Pingreq:
-    pass
+class Suback(FrozenRecord):
+    __slots__ = _fields = ("packet_id", "return_codes")
+
+    def __init__(self, packet_id: int, return_codes: tuple[int, ...]) -> None:
+        _set(self, "packet_id", packet_id)
+        _set(self, "return_codes", return_codes)
 
 
-@dataclass(frozen=True)
-class Pingresp:
-    pass
+class Unsubscribe(FrozenRecord):
+    __slots__ = _fields = ("packet_id", "topics")
+
+    def __init__(self, packet_id: int, topics: tuple[str, ...]) -> None:
+        _set(self, "packet_id", packet_id)
+        _set(self, "topics", topics)
 
 
-@dataclass(frozen=True)
-class Disconnect:
-    pass
+class Pingreq(FrozenRecord):
+    __slots__ = ()
+
+
+class Pingresp(FrozenRecord):
+    __slots__ = ()
+
+
+class Disconnect(FrozenRecord):
+    __slots__ = ()
 
 
 Body = Union[
@@ -252,15 +281,16 @@ Body = Union[
 ]
 
 
-@dataclass(frozen=True)
-class FixedHeader:
-    packet_type: PacketType
-    flags: int
-    remaining_length: int
+class FixedHeader(FrozenRecord):
+    __slots__ = _fields = ("packet_type", "flags", "remaining_length")
+
+    def __init__(self, packet_type: PacketType, flags: int, remaining_length: int) -> None:
+        _set(self, "packet_type", packet_type)
+        _set(self, "flags", flags)
+        _set(self, "remaining_length", remaining_length)
 
 
-@dataclass(frozen=True)
-class ControlPacket:
+class ControlPacket(FrozenRecord):
     """A decoded (or to-be-encoded) control packet.
 
     A Publish body with a geolocation encodes as PUBLISHG; without one it
@@ -268,8 +298,11 @@ class ControlPacket:
     is signalled by fixed-header flag bit 2.
     """
 
-    body: Body
-    geolocation: GeoLocation | None = None
+    __slots__ = _fields = ("body", "geolocation")
+
+    def __init__(self, body: Body, geolocation: GeoLocation | None = None) -> None:
+        _set(self, "body", body)
+        _set(self, "geolocation", geolocation)
 
     @property
     def packet_type(self) -> PacketType:

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import AnchorUnknown, InvalidCoordinates, InvalidPolygon
+from .record import FrozenRecord
 
 EARTH_RADIUS_M = 6_371_000.0
+
+_set = object.__setattr__
 
 
 def coordinates_valid(latitude: float, longitude: float) -> bool:
@@ -38,16 +40,14 @@ def coordinates_valid(latitude: float, longitude: float) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    latitude: float
-    longitude: float
+class GeoPoint(FrozenRecord):
+    __slots__ = _fields = ("latitude", "longitude")
 
-    def __post_init__(self) -> None:
-        if not coordinates_valid(self.latitude, self.longitude):
-            raise InvalidCoordinates(
-                f"lat={self.latitude!r} lon={self.longitude!r} out of range"
-            )
+    def __init__(self, latitude: float, longitude: float) -> None:
+        if not coordinates_valid(latitude, longitude):
+            raise InvalidCoordinates(f"lat={latitude!r} lon={longitude!r} out of range")
+        _set(self, "latitude", latitude)
+        _set(self, "longitude", longitude)
 
 
 class FenceMode(Enum):
@@ -55,8 +55,7 @@ class FenceMode(Enum):
     DYNAMIC = "dynamic"
 
 
-@dataclass(frozen=True)
-class GeofencePolygon:
+class GeofencePolygon(FrozenRecord):
     """A broker-side polygon fence.
 
     Static fences carry absolute vertices, and their Ring once validated;
@@ -64,27 +63,33 @@ class GeofencePolygon:
     whose last-known location anchors them.
     """
 
-    mode: FenceMode
-    vertices: tuple[GeoPoint, ...] = ()
-    vertex_offsets: tuple[tuple[float, float], ...] = ()
-    anchor_client: str | None = None
-    ring: Ring | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("mode", "vertices", "vertex_offsets", "anchor_client")
+    __slots__ = (*_fields, "ring")
 
-    def __post_init__(self) -> None:
-        if self.mode is FenceMode.STATIC:
-            if self.vertex_offsets or self.anchor_client is not None:
+    def __init__(
+        self, mode: FenceMode, vertices: tuple[GeoPoint, ...] = (),
+        vertex_offsets: tuple[tuple[float, float], ...] = (), anchor_client: str | None = None,
+    ) -> None:
+        ring = None
+        if mode is FenceMode.STATIC:
+            if vertex_offsets or anchor_client is not None:
                 raise InvalidPolygon("static fences take absolute vertices only")
-            object.__setattr__(self, "ring", validate_polygon(self.vertices))
+            ring = validate_polygon(vertices)
         else:
-            if self.vertices:
+            if vertices:
                 raise InvalidPolygon("dynamic fences take vertex offsets, not vertices")
-            if not self.anchor_client:
+            if not anchor_client:
                 raise InvalidPolygon("dynamic fences require an anchor client")
-            if len(self.vertex_offsets) < 3:
+            if len(vertex_offsets) < 3:
                 raise InvalidPolygon("a polygon needs at least 3 vertices")
-            for dlat, dlon in self.vertex_offsets:
+            for dlat, dlon in vertex_offsets:
                 if not (math.isfinite(dlat) and math.isfinite(dlon)):
                     raise InvalidPolygon("non-finite vertex offset")
+        _set(self, "mode", mode)
+        _set(self, "vertices", vertices)
+        _set(self, "vertex_offsets", vertex_offsets)
+        _set(self, "anchor_client", anchor_client)
+        _set(self, "ring", ring)
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

@@ -8,7 +8,6 @@ the 3-D vector oracle, routing uses the brute-force oracle.
 
 import struct
 import time
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -17,6 +16,7 @@ from mqttg.broker import admin_request
 from mqttg.client import ClientConfig, GeoMode, MqttgClient
 from mqttg.codec import (
     GEO_BLOCK_SIZE,
+    ControlPacket,
     PacketType,
     decode_fixed_header,
     decode_remaining_length,
@@ -158,7 +158,7 @@ def test_criterion_3_geo_block_conformance(corpus):
             continue
         data = encode_packet(packet)
         header, body_at = decode_fixed_header(data)
-        stripped = encode_packet(replace(packet, geolocation=None))
+        stripped = encode_packet(ControlPacket(packet.body))
         base_header, _ = decode_fixed_header(stripped)
         if header.remaining_length - base_header.remaining_length != GEO_BLOCK_SIZE:
             report(3, False, f"body growth != 21 for {packet.packet_type.name}")

@@ -284,6 +284,19 @@ class TestGeoBehavior:
         reply = admin_request("127.0.0.1", broker.admin_port, "NONSENSE")
         assert reply[0].startswith("ERR")
 
+    def test_admin_line_that_is_not_utf8_gets_err_and_the_connection_serves_on(
+        self, broker, monkeypatch
+    ):
+        caught = []
+        monkeypatch.setattr(threading, "excepthook", caught.append)
+        with socket.create_connection(("127.0.0.1", broker.admin_port), timeout=5.0) as sock:
+            # One send: the second line must survive the reply to the first.
+            sock.sendall(b"DUMP-\xffLOCATIONS\nDUMP-LOCATIONS\n")
+            with sock.makefile("rb") as fh:
+                assert fh.readline().startswith(b"ERR unknown command")
+                assert fh.readline() == b"OK\n"
+        assert caught == []
+
 
 class TestSessionRules:
     def test_duplicate_client_id_takeover(self, broker):
