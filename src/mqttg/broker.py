@@ -20,13 +20,19 @@ Subscribers that are geo-capable or matched through a geo-constrained
 filter receive the geolocation block intact; everyone else gets a plain
 PUBLISH with the block stripped. Outgoing QoS is min(publish, granted).
 
-Routing is indexed, so a publish costs what matches it, not the size of
-the table: a topic tree (topics.TopicTree) finds the matching filters by
-walking the topic's levels, and the fence registry is keyed by owner, so
-only a candidate subscriber's own fences are read. Geometry is compiled
-when it is stored (see geo): a radius filter keeps a geo.Circle, a static
-fence its Ring, a location record its GeoPoint, and a dynamic fence the
-Ring it last resolved to, with the anchor's record it was resolved at.
+Routing reads a plan per topic, so a publish costs what matches it, not
+the size of the table. The first publish on a topic builds its plan: the
+(client, Subscription) pair of every filter that matches, found by
+walking a topic tree (topics.TopicTree), and for each such client that
+owns fences, those whose filter matches the topic. A later publish on the
+topic walks no tree and matches no fence filter. Each subscribe,
+unsubscribe, session close and fence added or cleared clears all plans,
+and PLAN_ENTRIES bounds what they hold. What depends on where a client is stays out of the plan:
+radius verdicts, fence rings and containment, and geo-capability are
+decided at each publish. Geometry is compiled when it is stored (see
+geo): a radius filter keeps a geo.Circle, a static fence its Ring, a
+location record its GeoPoint, and a dynamic fence the Ring it last
+resolved to, with the anchor's record it was resolved at.
 
 route() decides most radius filters without a call. A point past the
 circle's latitude band is outside; a point within its inner bound, where
@@ -99,6 +105,9 @@ CONNACK_ACCEPTED = 0x00
 CONNACK_BAD_PROTOCOL = 0x01
 CONNACK_ID_REJECTED = 0x02
 SUBACK_FAILURE = 0x80
+# route() keeps at most this many planned entries (a plan, each of its
+# candidates, each of its matched fences); past it, every plan is dropped.
+PLAN_ENTRIES = 50_000
 
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
 
@@ -189,6 +198,11 @@ class _StoredFence:
         self.ring: Ring | None = fence.ring
 
 
+# A topic's route plan: (client, Subscription) for each filter matching the
+# topic, and {candidate client: its fences whose filters match the topic}.
+Plan = tuple[list[tuple[str, Subscription]], dict[str, list[_StoredFence]]]
+
+
 class BrokerState:
     """The sans-IO core; callers serialize access. A connection is an
     opaque handle that the core only stores and compares. Event rows go to
@@ -204,6 +218,10 @@ class BrokerState:
         self.locations: dict[str, LocationRecord] = {}
         self.fences: dict[str, dict[str, list[_StoredFence]]] = {}  # owner -> filter -> fences
         self.retained: dict[str, tuple[bytes, int]] = {}
+        # topic -> Plan, made by route() on a miss; cleared by every method
+        # that changes self.subscriptions or self.fences
+        self.plans: dict[str, Plan] = {}
+        self._planned = 0  # entries in self.plans; stale once plans is cleared
 
     # -- session lifecycle --------------------------------------------------
 
@@ -220,6 +238,7 @@ class BrokerState:
         if session is not None:
             for topic in session.subscriptions:
                 self.subscriptions.remove(topic, client_id)
+            self.plans.clear()
 
     # -- connections ----------------------------------------------------------
 
@@ -249,9 +268,8 @@ class BrokerState:
         row = "LOCATION" if fix else None
 
         if isinstance(body, Publish):
-            if body.qos == 2 and body.packet_id in (session.incoming_qos2 or ()):
-                row = None  # a resent QoS 2 publish is routed only once
-            else:
+            # A resent QoS 2 publish is routed only once; its fix still gets a LOCATION row.
+            if body.qos != 2 or body.packet_id not in (session.incoming_qos2 or ()):
                 row = "PUBLISH"
                 if body.qos == 2:
                     if session.incoming_qos2 is None:
@@ -422,6 +440,7 @@ class BrokerState:
             sub = session.subscriptions[f.topic] = Subscription(f.topic, f.qos, f.constraint)
             self.subscriptions.add(f.topic, client_id, sub)
             codes.append(f.qos)
+        self.plans.clear()
         return codes
 
     def unsubscribe(self, client_id: str, topics: tuple[str, ...]) -> None:
@@ -430,6 +449,7 @@ class BrokerState:
             if session.subscriptions.pop(topic, None) is not None:
                 self.subscriptions.remove(topic, client_id)
             self.clear_fence(client_id, topic)
+        self.plans.clear()
 
     # -- geofence registry --------------------------------------------------
 
@@ -437,6 +457,7 @@ class BrokerState:
         if not topic_filter_valid(topic):
             raise InvalidPolygon(f"invalid fence topic filter {topic!r}")
         self.fences.setdefault(owner, {}).setdefault(topic, []).append(_StoredFence(fence))
+        self.plans.clear()
 
     def clear_fence(self, owner: str, topic: str) -> int:
         owned = self.fences.get(owner)
@@ -445,6 +466,7 @@ class BrokerState:
         removed = len(owned.pop(topic))
         if not owned:
             del self.fences[owner]
+        self.plans.clear()
         return removed
 
     # -- retained messages ----------------------------------------------------
@@ -483,33 +505,36 @@ class BrokerState:
         if geo is not None and geo.is_evaluable:
             point = GeoPoint(geo.latitude, geo.longitude)
             lat, lon = point.latitude, point.longitude
+        plan = self.plans.get(topic)
+        if plan is None:
+            plan = self._plan(topic)
+        candidates, fenced = plan
         granted: dict[str, int] = {}  # client -> the highest QoS of its passing filters
         via_circle: set[str] = set()  # clients with a passing radius filter
-        for subs in self.subscriptions.match(topic):
-            for client_id, sub in subs.items():
-                circle = sub.circle
-                if circle is not None:
-                    if point is None:
-                        continue
-                    center = circle.center
-                    dlat = abs(lat - center.latitude)
-                    if dlat > circle.band:
-                        inside = False
-                    else:
-                        dlon = abs(lon - center.longitude)
-                        if dlon > 180.0:
-                            dlon = 360.0 - dlon
-                        inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
-                            point, center, circle.radius
-                        )
-                    if inside != circle.inside:
-                        continue
-                    via_circle.add(client_id)
-                if sub.qos > granted.get(client_id, -1):
-                    granted[client_id] = sub.qos
+        for client_id, sub in candidates:
+            circle = sub.circle
+            if circle is not None:
+                if point is None:
+                    continue
+                center = circle.center
+                dlat = abs(lat - center.latitude)
+                if dlat > circle.band:
+                    inside = False
+                else:
+                    dlon = abs(lon - center.longitude)
+                    if dlon > 180.0:
+                        dlon = 360.0 - dlon
+                    inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
+                        point, center, circle.radius
+                    )
+                if inside != circle.inside:
+                    continue
+                via_circle.add(client_id)
+            if sub.qos > granted.get(client_id, -1):
+                granted[client_id] = sub.qos
         deliveries = []
         for client_id, sub_qos in granted.items():
-            if client_id in self.fences and not self._fences_pass(client_id, topic):
+            if client_id in fenced and not self._inside_fences(client_id, fenced[client_id]):
                 continue
             include_geo = geo is not None and (
                 client_id in via_circle or self.sessions[client_id].geo_capable
@@ -517,25 +542,48 @@ class BrokerState:
             deliveries.append(Delivery(client_id, min(qos, sub_qos), include_geo))
         return deliveries
 
-    def _fences_pass(self, client_id: str, topic: str) -> bool:
-        """Every fence the client owns for a filter matching ``topic``
-        contains the client's last-known location."""
-        owned = self.fences.get(client_id)
-        if owned is None:
-            return True
-        where = None
-        for fence_topic, fences in owned.items():
-            if not topic_matches(fence_topic, topic):
-                continue
-            if where is None:
-                record = self.locations.get(client_id)
-                if record is None or not record.location.is_evaluable:
-                    return False
-                where = record.point
-            for stored in fences:
-                ring = self._ring(stored)
-                if ring is None or not ring.box_contains(where) or not point_in_polygon(where, ring):
-                    return False
+    def _plan(self, topic: str) -> Plan:
+        """Build ``topic``'s plan and store it. A plan that would take the
+        stored plans past PLAN_ENTRIES drops them all first; one larger
+        than PLAN_ENTRIES on its own is used once and not stored."""
+        candidates = [
+            (cid, sub) for subs in self.subscriptions.match(topic) for cid, sub in subs.items()
+        ]
+        fenced = {}
+        for client_id in {cid for cid, _ in candidates} & self.fences.keys():
+            fences = self._fences_for(client_id, topic)
+            if fences:
+                fenced[client_id] = fences
+        size = 1 + len(candidates) + sum(map(len, fenced.values()))
+        if not self.plans or self._planned + size > PLAN_ENTRIES:  # empty: the count is stale
+            self.plans.clear()
+            self._planned = 0
+        if size <= PLAN_ENTRIES:
+            self.plans[topic] = candidates, fenced
+            self._planned += size
+        return candidates, fenced
+
+    def _fences_for(self, client_id: str, topic: str) -> list[_StoredFence]:
+        """The fences the client owns for the filters matching ``topic``."""
+        owned = self.fences.get(client_id) or {}
+        return [
+            stored
+            for fence_topic, fences in owned.items()
+            if topic_matches(fence_topic, topic)
+            for stored in fences
+        ]
+
+    def _inside_fences(self, client_id: str, fences: list[_StoredFence]) -> bool:
+        """Every one of ``fences`` (at least one) contains the client's
+        last-known location."""
+        record = self.locations.get(client_id)
+        if record is None or not record.location.is_evaluable:
+            return False
+        where = record.point
+        for stored in fences:
+            ring = self._ring(stored)
+            if ring is None or not ring.box_contains(where) or not point_in_polygon(where, ring):
+                return False
         return True
 
     def _ring(self, stored: _StoredFence) -> Ring | None:
@@ -564,7 +612,10 @@ class BrokerState:
             if f.constraint is not None:
                 continue
             for topic, (payload, qos) in self.retained.items():
-                if topic_matches(f.topic, topic) and self._fences_pass(client_id, topic):
+                if not topic_matches(f.topic, topic):
+                    continue
+                fences = self._fences_for(client_id, topic)
+                if not fences or self._inside_fences(client_id, fences):
                     out.append((topic, payload, min(qos, f.qos)))
         return out
 

@@ -5,7 +5,9 @@ same random choices (never by reading one from the other), then replays
 up to 50 publishes through both and compares delivery sets. A large
 scenario does the same with hundreds of sessions on overlapping wildcard
 filters and '$' topics, while subscribes, unsubscribes, fence changes,
-session closes and re-opens interleave with the publishes.
+session closes and re-opens interleave with the publishes. An interleaved
+scenario puts a change of each kind between publishes on a few repeated
+topics, where a routing decision kept past a change would show.
 """
 
 from __future__ import annotations
@@ -301,4 +303,112 @@ def run_large_scenario(rng: Random) -> int:
     for client in clients:
         state.close_session(client)
     assert state.subscriptions.root.children == {}
+    return checked
+
+
+def run_interleaved_scenario(rng: Random) -> int:
+    """Run 200 random steps on a few sessions and topics, where every kind
+    of change lands between publishes: subscribe, unsubscribe, fence added and
+    cleared, takeover, close and location fixes. Publishes repeat the same
+    few topics, so a routing decision that outlived a change shows up on
+    the next publish. Returns the number of publishes checked.
+    """
+    state = BrokerState()
+    oracle = RoutingOracle()
+    clients = [f"i{i}" for i in range(6)]
+    live: set[str] = set()
+    now = 0.0
+
+    def locate(client: str) -> None:
+        nonlocal now
+        lat, lon = _point(rng)
+        now += 1.0
+        state.sessions[client].geo_capable = True
+        state.update_last_location(client, GeoLocation(1, lat, lon, 0.0), now)
+        oracle.geo_capable.add(client)
+        oracle.set_location(client, lat, lon)
+
+    def open_session(client: str) -> None:
+        state.open_session(client)
+        oracle.reopen(client)
+        live.add(client)
+
+    def add_fence(owner: str) -> None:
+        topic_filter = rng.choice(_FILTERS)
+        if rng.random() < 0.6:
+            # Near the owner or anywhere, so that clearing a fence often
+            # changes a verdict.
+            base = oracle.locations.get(owner) if rng.random() < 0.5 else None
+            base = base or _point(rng)
+            center = (base[0] + rng.uniform(-2, 2), base[1] + rng.uniform(-2, 2))
+            vertices = _convex_vertices(rng, center, rng.uniform(1.0, 6.0))
+            fence = GeofencePolygon(
+                FenceMode.STATIC, vertices=tuple(GeoPoint(la, lo) for la, lo in vertices)
+            )
+            oracle.add_fence(owner, topic_filter, {"mode": "static", "vertices": vertices})
+        else:
+            anchor = rng.choice(clients)
+            offsets = _convex_vertices(rng, (0.0, 0.0), rng.uniform(5.0, 30.0))
+            fence = GeofencePolygon(
+                FenceMode.DYNAMIC, vertex_offsets=tuple(offsets), anchor_client=anchor
+            )
+            oracle.add_fence(
+                owner, topic_filter, {"mode": "dynamic", "anchor": anchor, "offsets": offsets}
+            )
+        state.add_fence(owner, topic_filter, fence)
+
+    for client in clients:
+        open_session(client)
+
+    checked = 0
+    for _ in range(200):
+        client = rng.choice(clients)
+        op = rng.random()
+        if op < 0.45:
+            topic = rng.choice(_TOPICS)
+            qos = rng.randint(0, 2)
+            geo = None
+            if client in live and rng.random() < 0.6:
+                lat, lon = _point(rng)
+                geo = GeoLocation(1, lat, lon, 0.0)
+                now += 1.0
+                state.sessions[client].geo_capable = True
+                state.update_last_location(client, geo, now)
+            # A publisher without a session stands for a will: no geolocation.
+            got = {(d.client_id, d.qos, d.include_geo) for d in state.route(client, topic, qos, geo)}
+            want = oracle.publish(
+                client, topic, qos, None if geo is None else (1, geo.latitude, geo.longitude)
+            )
+            assert got == want, f"topic={topic} qos={qos} geo={geo}\n got={got}\nwant={want}"
+            checked += 1
+        elif client not in live:
+            open_session(client)
+        elif op < 0.6:
+            topic_filter = rng.choice(_FILTERS)
+            qos = rng.randint(0, 2)
+            constraint = oracle_constraint = None
+            if rng.random() < 0.3:
+                constraint, oracle_constraint = _large_constraint(rng)
+            state.subscribe(client, (TopicFilter(topic_filter, qos, constraint),))
+            oracle.subscribe(client, topic_filter, qos, oracle_constraint)
+        elif op < 0.68:
+            own = [s[0] for s in oracle.subscriptions[client]]
+            topic_filter = rng.choice(own) if own and rng.random() < 0.8 else rng.choice(_FILTERS)
+            state.unsubscribe(client, (topic_filter,))
+            oracle.unsubscribe(client, topic_filter)
+        elif op < 0.76:
+            add_fence(client)
+        elif op < 0.82:
+            fenced = [(owner, tf) for owner, tf, _ in oracle.fences]
+            owner, topic_filter = rng.choice(fenced) if fenced else (client, "t")
+            state.clear_fence(owner, topic_filter)
+            oracle.clear_fence(owner, topic_filter)
+        elif op < 0.87:
+            open_session(client)  # a takeover: the id is live
+        elif op < 0.91:
+            state.close_session(client)
+            oracle.close(client)
+            live.discard(client)
+        else:
+            locate(client)
     return checked

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import mqttg.broker
 from mqttg.broker import BrokerState, Delivery, load_fence_file, parse_fence_spec
 from mqttg.codec import ConstraintKind, GeoConstraint, GeoLocation, TopicFilter
 from mqttg.errors import InvalidPolygon, MQTTgError, RouteFormatError
@@ -19,8 +20,9 @@ from mqttg.geo import (
     normalize_longitude,
     point_in_polygon,
 )
+from mqttg.topics import TopicTree
 
-from scenario import run_large_scenario, run_scenario
+from scenario import run_interleaved_scenario, run_large_scenario, run_scenario
 
 
 def geo(lat, lon, elev=0.0):
@@ -323,6 +325,102 @@ class TestSubscriptionIndex:
         assert routed(state, "t/x") == {"sub"}
 
 
+def planned_entries(state):
+    """What the stored plans hold, counted as PLAN_ENTRIES counts it."""
+    return sum(
+        1 + len(candidates) + sum(map(len, fenced.values()))
+        for candidates, fenced in state.plans.values()
+    )
+
+
+class TestRoutePlans:
+    """route() reads each topic's candidates and fences from a plan that
+    every change to filters, fences or sessions clears."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"match": 0, "topic_matches": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                counts[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(TopicTree, "match", counted("match", TopicTree.match))
+        monkeypatch.setattr(
+            mqttg.broker, "topic_matches", counted("topic_matches", mqttg.broker.topic_matches)
+        )
+        return counts
+
+    def fenced_state(self):
+        state = make_state("pub", "sub", "near", "truck")
+        for client in ("sub", "near", "truck"):
+            state.update_last_location(client, geo(0.0, 0.0), 0.0)
+        state.subscribe("sub", (TopicFilter("t/+", 1), TopicFilter("t/#", 0)))
+        near = GeoConstraint(ConstraintKind.INSIDE_RADIUS, 50_000.0, 0.0, 0.0)
+        state.subscribe("near", (TopicFilter("t/x", 0, near),))
+        state.add_fence("sub", "t/x", square_around(0.0, 0.0))
+        state.add_fence("sub", "+/x", dynamic_square("truck"))
+        state.add_fence("sub", "u/#", square_around(10.0, 10.0))
+        return state
+
+    def test_a_plan_hit_walks_no_tree_and_matches_no_filter(self, calls):
+        state = self.fenced_state()
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
+        assert calls == {"match": 1, "topic_matches": 3}
+        calls.update(match=0, topic_matches=0)
+        assert routed(state, "t/x", geo=geo(1.0, 1.0)) == {"sub"}
+        state.update_last_location("truck", geo(5.0, 5.0), 1.0)  # the dynamic fence moves away
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"near"}
+        assert calls == {"match": 0, "topic_matches": 0}
+
+    def test_a_subscribe_makes_the_next_publish_plan_again(self, calls):
+        state = self.fenced_state()
+        routed(state, "t/x")
+        state.subscribe("truck", (TopicFilter("#", 0),))
+        calls.update(match=0, topic_matches=0)
+        assert routed(state, "t/x") == {"sub", "truck"}
+        assert calls == {"match": 1, "topic_matches": 3}
+        assert routed(state, "t/x") == {"sub", "truck"}
+        assert calls == {"match": 1, "topic_matches": 3}
+
+    def test_planned_entries_never_pass_the_cap(self):
+        state = make_state("pub", *(f"all{i}" for i in range(4)))
+        for i in range(4):
+            state.subscribe(f"all{i}", (TopicFilter("#", 0),))
+        state.update_last_location("all0", geo(0.0, 0.0), 0.0)
+        state.add_fence("all0", "#", square_around(0.0, 0.0))
+        state.add_fence("all1", "#", square_around(10.0, 10.0))  # all1 is never inside
+        every = {"all0", "all2", "all3"}
+        size = 1 + 4 + 2  # the plan, its candidates, its matched fences
+        per_fill = mqttg.broker.PLAN_ENTRIES // size
+        drops, held = 0, 0
+        for n in range(per_fill * 2 + per_fill // 2):
+            assert routed(state, f"m/{n}") == every
+            if len(state.plans) < held:
+                drops += 1
+                assert routed(state, "m/0") == every  # planned again after the drop
+            held = len(state.plans)
+            if len(state.plans) in (1, per_fill) or n % 997 == 0:
+                assert planned_entries(state) <= mqttg.broker.PLAN_ENTRIES
+        assert drops == 2
+        assert planned_entries(state) <= mqttg.broker.PLAN_ENTRIES
+
+    def test_a_plan_larger_than_the_cap_is_used_and_not_kept(self, monkeypatch):
+        monkeypatch.setattr(mqttg.broker, "PLAN_ENTRIES", 4)
+        state = make_state("pub", "a", "b", "c", "d")
+        for client in "abc":
+            state.subscribe(client, (TopicFilter("x/#", 0),))
+        assert routed(state, "x/1") == {"a", "b", "c"}
+        assert planned_entries(state) == 4
+        state.subscribe("d", (TopicFilter("x/+", 0),))
+        assert routed(state, "x/1") == {"a", "b", "c", "d"}
+        assert state.plans == {}
+        assert routed(state, "y") == set()
+        assert planned_entries(state) == 1
+
+
 def destination(lat, lon, distance_m, bearing_deg):
     """The point ``distance_m`` along the great circle leaving (lat, lon)
     on ``bearing_deg``; due north is a plain latitude step."""
@@ -537,6 +635,10 @@ class TestScenarioOracle:
         rng = Random(99)
         for _ in range(20):
             run_scenario(rng, force_no_geo_publishes=True)
+
+    def test_interleaved_changes_match_brute_force(self):
+        rng = Random(2026)
+        assert sum(run_interleaved_scenario(rng) for _ in range(40)) > 3000
 
     def test_large_scenarios_with_churn_match_brute_force(self):
         rng = Random(4242)

@@ -125,6 +125,28 @@ def test_qos2_publish_then_release():
     assert rows(log) == [("a", "CONNECT"), ("a", "PUBLISH")]
 
 
+def test_resent_qos2_publishg_logs_its_fix_but_not_the_publish():
+    state, log = make_core()
+    connect(state, "w", "watcher")
+    send(state, "w", Subscribe(1, (TopicFilter("t", 0),)))
+    connect(state, "a", "a")
+    for lon, now in ((0.0, 1.0), (0.01, 2.0)):
+        writes, keep_open = state.receive(
+            "a", ControlPacket(Publish("t", b"m", 2, packet_id=7), GeoLocation(1, 0.0, lon, 0.0)), now
+        )
+        assert keep_open and bodies(writes)[-1] == ("a", PubRec(7))
+    assert [conn for conn, _ in writes] == ["a"]  # the resend is not routed again
+    send(state, "a", PubRel(7), 3.0)
+    assert state.release("a") == []
+    table = list(csv.reader(log.getvalue().splitlines()))[1:]
+    assert [(r[1], r[2], r[4]) for r in table[-3:]] == [
+        ("a", "PUBLISH", "0.000000"),
+        ("a", "LOCATION", "0.010000"),
+        ("a", "DISCONNECT", "0.010000"),
+    ]
+    assert table[-2][6] == "1111.949266"  # the segment from the first fix
+
+
 def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
     state, _ = make_core()
     here = GeoLocation(1, 45.0, 7.0, 250.0)
