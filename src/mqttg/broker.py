@@ -21,18 +21,21 @@ filter receive the geolocation block intact; everyone else gets a plain
 PUBLISH with the block stripped. Outgoing QoS is min(publish, granted).
 
 Routing reads a plan per topic, so a publish costs what matches it, not
-the size of the table. The first publish on a topic builds its plan: the
-(client, Subscription) pair of every filter that matches, found by
-walking a topic tree (topics.TopicTree), and for each such client that
-owns fences, those whose filter matches the topic. A later publish on the
-topic walks no tree and matches no fence filter. Each subscribe,
-unsubscribe, session close and fence added or cleared clears all plans,
-and PLAN_ENTRIES bounds what they hold. What depends on where a client is stays out of the plan:
-radius verdicts, fence rings and containment, and geo-capability are
-decided at each publish. Geometry is compiled when it is stored (see
-geo): a radius filter keeps a geo.Circle, a static fence its Ring, a
-location record its GeoPoint, and a dynamic fence the Ring it last
-resolved to, with the anchor's record it was resolved at.
+the size of the table. A plan holds the subscriber maps of the filters
+matching the topic, found by walking a topic tree (topics.TopicTree), and,
+for each of those clients that owns fences, the fences whose filters
+match the topic. A topic's first publish since plans were dropped only
+marks it, so a topic published once costs what it did without plans; the
+second builds its plan, and later ones walk no tree and match no fence
+filter. A subscribe, or a fence added or cleared, drops every plan. An
+unsubscribe or a session close drops none: a plan shares the tree's
+subscriber maps, which lose the client at once. PLAN_ENTRIES bounds what
+the plans hold. What depends on where a client is stays out of the plan:
+radius verdicts, fence containment and geo-capability are decided at
+each publish. Geometry is compiled when it is stored (see geo): a radius
+filter keeps a geo.Circle, a static fence its Ring, a location record its
+GeoPoint, and a dynamic fence the Ring it last resolved to, with the
+anchor's record it was resolved at.
 
 route() decides most radius filters without a call. A point past the
 circle's latitude band is outside; a point within its inner bound, where
@@ -105,8 +108,9 @@ CONNACK_ACCEPTED = 0x00
 CONNACK_BAD_PROTOCOL = 0x01
 CONNACK_ID_REJECTED = 0x02
 SUBACK_FAILURE = 0x80
-# route() keeps at most this many planned entries (a plan, each of its
-# candidates, each of its matched fences); past it, every plan is dropped.
+# route()'s marks and plans take at most 64 bytes a unit (traced: 16-64), so
+# this caps them near 3 MB, a sixth of an idle broker's RSS, with room for
+# some 6000 plans of short topics. Past it, route() drops them all.
 PLAN_ENTRIES = 50_000
 
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
@@ -198,9 +202,10 @@ class _StoredFence:
         self.ring: Ring | None = fence.ring
 
 
-# A topic's route plan: (client, Subscription) for each filter matching the
-# topic, and {candidate client: its fences whose filters match the topic}.
-Plan = tuple[list[tuple[str, Subscription]], dict[str, list[_StoredFence]]]
+# A topic's route plan: the subscriber maps ({client: Subscription}) of the
+# filters matching the topic, and {candidate client: its fences whose
+# filters match the topic}, or None where the fences are not planned.
+Plan = tuple[list[dict[str, Subscription]], dict[str, list[_StoredFence]] | None]
 
 
 class BrokerState:
@@ -218,10 +223,11 @@ class BrokerState:
         self.locations: dict[str, LocationRecord] = {}
         self.fences: dict[str, dict[str, list[_StoredFence]]] = {}  # owner -> filter -> fences
         self.retained: dict[str, tuple[bytes, int]] = {}
-        # topic -> Plan, made by route() on a miss; cleared by every method
-        # that changes self.subscriptions or self.fences
-        self.plans: dict[str, Plan] = {}
-        self._planned = 0  # entries in self.plans; stale once plans is cleared
+        # topic -> Plan, made by route(); cleared by subscribe and by every
+        # change to self.fences. A plan shares the tree's subscriber maps, so
+        # a subscription removed (unsubscribe, close) leaves it at once.
+        self.plans: dict[str, Plan | tuple[()]] = {}  # a plan, or a topic's mark
+        self._planned = 0  # PLAN_ENTRIES units in self.plans; stale once it is cleared
 
     # -- session lifecycle --------------------------------------------------
 
@@ -238,7 +244,6 @@ class BrokerState:
         if session is not None:
             for topic in session.subscriptions:
                 self.subscriptions.remove(topic, client_id)
-            self.plans.clear()
 
     # -- connections ----------------------------------------------------------
 
@@ -449,7 +454,6 @@ class BrokerState:
             if session.subscriptions.pop(topic, None) is not None:
                 self.subscriptions.remove(topic, client_id)
             self.clear_fence(client_id, topic)
-        self.plans.clear()
 
     # -- geofence registry --------------------------------------------------
 
@@ -506,72 +510,75 @@ class BrokerState:
             point = GeoPoint(geo.latitude, geo.longitude)
             lat, lon = point.latitude, point.longitude
         plan = self.plans.get(topic)
-        if plan is None:
-            plan = self._plan(topic)
-        candidates, fenced = plan
+        if not plan:  # None: not seen since the plans were dropped; (): seen once
+            plan = self._plan(topic, plan is not None)
+        nodes, fenced = plan
         granted: dict[str, int] = {}  # client -> the highest QoS of its passing filters
         via_circle: set[str] = set()  # clients with a passing radius filter
-        for client_id, sub in candidates:
-            circle = sub.circle
-            if circle is not None:
-                if point is None:
-                    continue
-                center = circle.center
-                dlat = abs(lat - center.latitude)
-                if dlat > circle.band:
-                    inside = False
-                else:
-                    dlon = abs(lon - center.longitude)
-                    if dlon > 180.0:
-                        dlon = 360.0 - dlon
-                    inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
-                        point, center, circle.radius
-                    )
-                if inside != circle.inside:
-                    continue
-                via_circle.add(client_id)
-            if sub.qos > granted.get(client_id, -1):
-                granted[client_id] = sub.qos
+        for subs in nodes:
+            for client_id, sub in subs.items():
+                circle = sub.circle
+                if circle is not None:
+                    if point is None:
+                        continue
+                    center = circle.center
+                    dlat = abs(lat - center.latitude)
+                    if dlat > circle.band:
+                        inside = False
+                    else:
+                        dlon = abs(lon - center.longitude)
+                        if dlon > 180.0:
+                            dlon = 360.0 - dlon
+                        inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
+                            point, center, circle.radius
+                        )
+                    if inside != circle.inside:
+                        continue
+                    via_circle.add(client_id)
+                if sub.qos > granted.get(client_id, -1):
+                    granted[client_id] = sub.qos
         deliveries = []
         for client_id, sub_qos in granted.items():
-            if client_id in fenced and not self._inside_fences(client_id, fenced[client_id]):
-                continue
+            if client_id in self.fences:
+                fences = self._fences_for(client_id, topic) if fenced is None else fenced.get(client_id)
+                if fences and not self._inside_fences(client_id, fences):
+                    continue
             include_geo = geo is not None and (
                 client_id in via_circle or self.sessions[client_id].geo_capable
             )
             deliveries.append(Delivery(client_id, min(qos, sub_qos), include_geo))
         return deliveries
 
-    def _plan(self, topic: str) -> Plan:
-        """Build ``topic``'s plan and store it. A plan that would take the
-        stored plans past PLAN_ENTRIES drops them all first; one larger
-        than PLAN_ENTRIES on its own is used once and not stored."""
-        candidates = [
-            (cid, sub) for subs in self.subscriptions.match(topic) for cid, sub in subs.items()
-        ]
-        fenced = {}
-        for client_id in {cid for cid, _ in candidates} & self.fences.keys():
-            fences = self._fences_for(client_id, topic)
-            if fences:
-                fenced[client_id] = fences
-        size = 1 + len(candidates) + sum(map(len, fenced.values()))
+    def _plan(self, topic: str, seen: bool) -> Plan:
+        """``topic``'s plan if it was ``seen`` since plans were dropped, else a
+        mark (an empty plan) and no fence lists. Each is stored with its size
+        in PLAN_ENTRIES units; passing PLAN_ENTRIES drops all marks and
+        plans first, and a plan larger than it alone is not stored."""
+        nodes = self.subscriptions.match(topic)
+        fenced = None
+        size = mark = 2 + len(topic) // 16  # its slot, its topic at up to 4 bytes a character
+        if seen:
+            owners = {client_id for subs in nodes for client_id in subs} & self.fences.keys()
+            fenced = {cid: fences for cid in owners if (fences := self._fences_for(cid, topic))}
+            size += 4 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
+        if size > PLAN_ENTRIES:
+            return nodes, fenced
         if not self.plans or self._planned + size > PLAN_ENTRIES:  # empty: the count is stale
             self.plans.clear()
             self._planned = 0
-        if size <= PLAN_ENTRIES:
-            self.plans[topic] = candidates, fenced
-            self._planned += size
-        return candidates, fenced
+        elif seen:
+            self._planned -= mark  # the plan replaces the topic's mark
+        self.plans[topic] = (nodes, fenced) if seen else ()
+        self._planned += size
+        return nodes, fenced
 
     def _fences_for(self, client_id: str, topic: str) -> list[_StoredFence]:
         """The fences the client owns for the filters matching ``topic``."""
-        owned = self.fences.get(client_id) or {}
-        return [
-            stored
-            for fence_topic, fences in owned.items()
-            if topic_matches(fence_topic, topic)
-            for stored in fences
-        ]
+        matched: list[_StoredFence] = []
+        for fence_topic, fences in self.fences.get(client_id, {}).items():
+            if topic_matches(fence_topic, topic):
+                matched += fences
+        return matched
 
     def _inside_fences(self, client_id: str, fences: list[_StoredFence]) -> bool:
         """Every one of ``fences`` (at least one) contains the client's

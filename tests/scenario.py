@@ -310,8 +310,9 @@ def run_interleaved_scenario(rng: Random) -> int:
     """Run 200 random steps on a few sessions and topics, where every kind
     of change lands between publishes: subscribe, unsubscribe, fence added and
     cleared, takeover, close and location fixes. Publishes repeat the same
-    few topics, so a routing decision that outlived a change shows up on
-    the next publish. Returns the number of publishes checked.
+    few topics, in runs of up to four, so a routing decision that outlived
+    a change shows up on a later publish. Returns the number of publishes
+    checked.
     """
     state = BrokerState()
     oracle = RoutingOracle()
@@ -365,22 +366,26 @@ def run_interleaved_scenario(rng: Random) -> int:
         client = rng.choice(clients)
         op = rng.random()
         if op < 0.45:
+            # One to four publishes on a topic: the broker plans a topic on
+            # its second publish, and uses the plan from the third on.
             topic = rng.choice(_TOPICS)
-            qos = rng.randint(0, 2)
-            geo = None
-            if client in live and rng.random() < 0.6:
-                lat, lon = _point(rng)
-                geo = GeoLocation(1, lat, lon, 0.0)
-                now += 1.0
-                state.sessions[client].geo_capable = True
-                state.update_last_location(client, geo, now)
-            # A publisher without a session stands for a will: no geolocation.
-            got = {(d.client_id, d.qos, d.include_geo) for d in state.route(client, topic, qos, geo)}
-            want = oracle.publish(
-                client, topic, qos, None if geo is None else (1, geo.latitude, geo.longitude)
-            )
-            assert got == want, f"topic={topic} qos={qos} geo={geo}\n got={got}\nwant={want}"
-            checked += 1
+            for _ in range(rng.randint(1, 4)):
+                qos = rng.randint(0, 2)
+                geo = None
+                if client in live and rng.random() < 0.6:
+                    lat, lon = _point(rng)
+                    geo = GeoLocation(1, lat, lon, 0.0)
+                    now += 1.0
+                    state.sessions[client].geo_capable = True
+                    state.update_last_location(client, geo, now)
+                # A publisher without a session stands for a will: no geolocation.
+                deliveries = state.route(client, topic, qos, geo)
+                got = {(d.client_id, d.qos, d.include_geo) for d in deliveries}
+                want = oracle.publish(
+                    client, topic, qos, None if geo is None else (1, geo.latitude, geo.longitude)
+                )
+                assert got == want, f"topic={topic} qos={qos} geo={geo}\n got={got}\nwant={want}"
+                checked += 1
         elif client not in live:
             open_session(client)
         elif op < 0.6:

@@ -2,6 +2,7 @@
 geofence registry and the routing rules."""
 
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -326,16 +327,22 @@ class TestSubscriptionIndex:
 
 
 def planned_entries(state):
-    """What the stored plans hold, counted as PLAN_ENTRIES counts it."""
-    return sum(
-        1 + len(candidates) + sum(map(len, fenced.values()))
-        for candidates, fenced in state.plans.values()
-    )
+    """What the stored marks and plans hold, counted as PLAN_ENTRIES counts
+    it: a mark is the topic's slot and its string, a plan adds its
+    subscriber maps, its fenced clients and their fences."""
+    total = 0
+    for topic, plan in state.plans.items():
+        total += 2 + len(topic) // 16
+        if plan:
+            nodes, fenced = plan
+            total += 4 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
+    return total
 
 
 class TestRoutePlans:
-    """route() reads each topic's candidates and fences from a plan that
-    every change to filters, fences or sessions clears."""
+    """route() reads a topic's candidates and fences from a plan, built on
+    the topic's second publish, dropped by a subscribe or a fence change,
+    and in step with the tree's subscriber maps through every removal."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -368,22 +375,46 @@ class TestRoutePlans:
     def test_a_plan_hit_walks_no_tree_and_matches_no_filter(self, calls):
         state = self.fenced_state()
         assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
-        assert calls == {"match": 1, "topic_matches": 3}
+        assert calls == {"match": 1, "topic_matches": 3}  # a mark; sub's fences matched
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
+        assert calls == {"match": 2, "topic_matches": 6}  # the plan is built
         calls.update(match=0, topic_matches=0)
         assert routed(state, "t/x", geo=geo(1.0, 1.0)) == {"sub"}
         state.update_last_location("truck", geo(5.0, 5.0), 1.0)  # the dynamic fence moves away
         assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"near"}
         assert calls == {"match": 0, "topic_matches": 0}
 
-    def test_a_subscribe_makes_the_next_publish_plan_again(self, calls):
+    def test_a_subscribe_makes_the_topic_plan_again(self, calls):
         state = self.fenced_state()
+        routed(state, "t/x")
         routed(state, "t/x")
         state.subscribe("truck", (TopicFilter("#", 0),))
         calls.update(match=0, topic_matches=0)
-        assert routed(state, "t/x") == {"sub", "truck"}
-        assert calls == {"match": 1, "topic_matches": 3}
-        assert routed(state, "t/x") == {"sub", "truck"}
-        assert calls == {"match": 1, "topic_matches": 3}
+        for _ in range(3):
+            assert routed(state, "t/x") == {"sub", "truck"}
+        assert calls == {"match": 2, "topic_matches": 6}
+
+    def test_a_topic_published_once_gets_only_a_mark(self, calls):
+        state = self.fenced_state()
+        for n in range(50):
+            assert routed(state, f"t/{n}") == {"sub"}
+        assert set(state.plans.values()) == {()}
+        assert calls == {"match": 50, "topic_matches": 150}
+
+    def test_an_unsubscribe_or_a_close_keeps_the_plans(self, calls):
+        state = self.fenced_state()
+        routed(state, "t/x", geo=geo(0.1, 0.1))
+        routed(state, "t/x", geo=geo(0.1, 0.1))
+        kept = dict(state.plans)
+        state.open_session("pub")  # a takeover of a session with no filters
+        state.unsubscribe("sub", ("t/+",))  # sub still has t/#
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
+        state.close_session("near")
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub"}
+        state.open_session("sub")  # a takeover of a subscribed session
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == set()
+        assert state.plans == kept
+        assert calls == {"match": 2, "topic_matches": 6}
 
     def test_planned_entries_never_pass_the_cap(self):
         state = make_state("pub", *(f"all{i}" for i in range(4)))
@@ -393,32 +424,55 @@ class TestRoutePlans:
         state.add_fence("all0", "#", square_around(0.0, 0.0))
         state.add_fence("all1", "#", square_around(10.0, 10.0))  # all1 is never inside
         every = {"all0", "all2", "all3"}
-        size = 1 + 4 + 2  # the plan, its candidates, its matched fences
+        size = 2 + 4 + 1 + 2 * 2 + 2  # mark, plan, one map, two fenced clients, their fences
         per_fill = mqttg.broker.PLAN_ENTRIES // size
         drops, held = 0, 0
         for n in range(per_fill * 2 + per_fill // 2):
-            assert routed(state, f"m/{n}") == every
+            for _ in range(2):
+                assert routed(state, f"m/{n}") == every
             if len(state.plans) < held:
                 drops += 1
-                assert routed(state, "m/0") == every  # planned again after the drop
+                assert routed(state, "m/0") == every  # marked again after the drop
             held = len(state.plans)
             if len(state.plans) in (1, per_fill) or n % 997 == 0:
-                assert planned_entries(state) <= mqttg.broker.PLAN_ENTRIES
+                assert planned_entries(state) == state._planned <= mqttg.broker.PLAN_ENTRIES
         assert drops == 2
         assert planned_entries(state) <= mqttg.broker.PLAN_ENTRIES
 
+    def test_long_topics_count_toward_the_cap(self):
+        state = make_state("pub", "all")
+        state.subscribe("all", (TopicFilter("#", 0),))
+        held, peak, drops = 0, 0, 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for n in range(160):  # about three fills of 60 kB topics, at 4 bytes a character
+                topic = f"long/{n:04d}/" + "\U0001F600" * 15_000
+                for _ in range(2):
+                    assert routed(state, topic) == {"all"}
+                peak = max(peak, tracemalloc.get_traced_memory()[0] - start)
+                drops += len(state.plans) < held
+                held = len(state.plans)
+                assert planned_entries(state) == state._planned <= mqttg.broker.PLAN_ENTRIES
+        finally:
+            tracemalloc.stop()
+        assert drops >= 2
+        assert peak < 80 * mqttg.broker.PLAN_ENTRIES  # units of at most 64 bytes, and the topic in hand
+
     def test_a_plan_larger_than_the_cap_is_used_and_not_kept(self, monkeypatch):
-        monkeypatch.setattr(mqttg.broker, "PLAN_ENTRIES", 4)
+        monkeypatch.setattr(mqttg.broker, "PLAN_ENTRIES", 8)
         state = make_state("pub", "a", "b", "c", "d")
         for client in "abc":
             state.subscribe(client, (TopicFilter("x/#", 0),))
-        assert routed(state, "x/1") == {"a", "b", "c"}
-        assert planned_entries(state) == 4
-        state.subscribe("d", (TopicFilter("x/+", 0),))
-        assert routed(state, "x/1") == {"a", "b", "c", "d"}
-        assert state.plans == {}
+        for _ in range(2):
+            assert routed(state, "x/1") == {"a", "b", "c"}
+        assert planned_entries(state) == 7
+        state.subscribe("d", (TopicFilter("x/+", 0), TopicFilter("x/1", 0)))
+        for _ in range(2):
+            assert routed(state, "x/1") == {"a", "b", "c", "d"}
+            assert state.plans == {"x/1": ()}
         assert routed(state, "y") == set()
-        assert planned_entries(state) == 1
+        assert planned_entries(state) == state._planned == 4
 
 
 def destination(lat, lon, distance_m, bearing_deg):
