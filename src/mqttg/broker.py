@@ -49,7 +49,9 @@ verdict is the one inside_radius gives.
 from __future__ import annotations
 
 import logging
+import math
 import socket
+import struct
 import threading
 import time
 
@@ -507,7 +509,12 @@ class BrokerState:
         """Delivery decisions for one publish; see the module docstring."""
         point = None  # fail closed: no location, no geo-constrained delivery
         if geo is not None and geo.is_evaluable:
-            point = GeoPoint(geo.latitude, geo.longitude)
+            # The publisher's fix, stored by receive() just before, has the point.
+            fix = self.locations.get(publisher_id)
+            if fix is not None and fix.location is geo:
+                point = fix.point
+            else:
+                point = GeoPoint(geo.latitude, geo.longitude)
             lat, lon = point.latitude, point.longitude
         plan = self.plans.get(topic)
         if not plan:  # None: not seen since the plans were dropped; (): seen once
@@ -729,19 +736,58 @@ def load_fence_file(path: str, state: BrokerState) -> int:
 
 STOP_WAIT_S = 5.0  # each of stop()'s waits for the broker's threads
 
+_TIMEVAL = struct.Struct("@ll")  # a native struct timeval: seconds, microseconds
+
+
+def _timeval(seconds: float) -> bytes:
+    """``seconds`` as SO_RCVTIMEO/SO_SNDTIMEO take it, rounded up to the
+    microsecond, so that only 0 reads as no limit."""
+    return _TIMEVAL.pack(*divmod(math.ceil(seconds * 1_000_000), 1_000_000))
+
 
 class _Conn:
+    """A connection's socket. It stays blocking: its deadlines are the
+    kernel's SO_RCVTIMEO and SO_SNDTIMEO, since a socket with a Python
+    timeout polls before every recv and send. A read past its deadline
+    raises BlockingIOError."""
+
     def __init__(self, sock: socket.socket, addr):
         self.sock = sock
         self.addr = addr
         self.send_lock = threading.Lock()
+        self.timeout = 0.0  # seconds each read, and each whole write, may take; 0: no limit
 
     def __repr__(self) -> str:
         return str(self.addr)
 
-    def send(self, data: bytes) -> None:
+    def set_timeout(self, seconds: float) -> None:
+        """Under the send lock: a write cut short restores the deadline it began with."""
         with self.send_lock:
-            self.sock.sendall(data)
+            self.timeout = seconds
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(seconds))
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(seconds))
+
+    def send(self, data: bytes) -> None:
+        """Send all of ``data`` within one deadline for the whole write. A
+        send the kernel's timeout cut short is retried with only what is
+        left of it, so a reader that drains a trickle holds the writer no
+        longer than one deadline; TimeoutError once it has passed."""
+        with self.send_lock:
+            sock, timeout = self.sock, self.timeout
+            start = time.monotonic()
+            sent = sock.send(data)
+            if sent == len(data):
+                return
+            rest = memoryview(data)[sent:]
+            while rest:
+                if timeout:
+                    left = start + timeout - time.monotonic()
+                    if left <= 0.0:
+                        raise TimeoutError(f"write not done within {timeout} s")
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(left))
+                rest = rest[sock.send(rest):]
+            if timeout:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(timeout))
 
     def shutdown(self) -> None:
         """End the connection; any thread may. It wakes every thread blocked
@@ -904,7 +950,7 @@ class Broker:
         pending: list[Write] = []  # the writes of the frames decided since the last send
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(10.0)  # until CONNECT sets the keep-alive
+            conn.set_timeout(10.0)  # until CONNECT sets the keep-alive
             while self._running:
                 frame = read_frame(reader)
                 if frame is None:
@@ -919,12 +965,11 @@ class Broker:
                 if not keep_open:
                     return
                 if isinstance(packet.body, Connect):
-                    keep_alive = packet.body.keep_alive
-                    sock.settimeout(keep_alive * 1.5 if keep_alive else None)
+                    conn.set_timeout(packet.body.keep_alive * 1.5)
                 if batch_ends:
                     self._write(pending)
                     pending = []
-        except socket.timeout:
+        except BlockingIOError:  # a read past the deadline
             logger.warning("%s: keep-alive timeout", conn)
         except CodecError as exc:
             logger.warning("%s: closing connection: %s", conn, exc)

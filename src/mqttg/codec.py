@@ -703,6 +703,14 @@ _TYPES = (None, *PacketType)
 _SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
 #: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
 _ID_FRAME = struct.Struct(">BBH")
+#: The acks whose body is only a packet identifier, with or without the
+#: block, by their first two bytes (first byte << 8 | remaining length).
+_ACK_BODIES = {
+    (spec.ptype << 4 | spec.flags | flag) << 8 | 2 + size: spec.body
+    for spec in _PACKETS
+    if spec.geo and spec.packet_id and spec.decode is _decode_nothing
+    for flag, size in ((0, 0), (GEO_FLAG, GEO_BLOCK_SIZE))
+}
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +807,20 @@ def decode_packet(data: bytes) -> ControlPacket:
     trailing bytes, ProtocolViolation on reserved-flag or packet-rule
     breaches, InvalidCoordinates on out-of-range version-1 coordinates.
     """
+    n = len(data)
+    if n == 4 or n == 4 + GEO_BLOCK_SIZE:
+        # A PUBACK, PUBREC, PUBREL or PUBCOMP with exact first two bytes
+        # and a non-zero packet id; every other frame takes the general
+        # path below, and raises there.
+        cls = _ACK_BODIES.get(data[0] << 8 | data[1])
+        pid = data[2] << 8 | data[3]
+        if cls is not None and data[1] == n - 2 and pid:
+            body = _new(cls)
+            _set(body, "packet_id", pid)
+            packet = _new(ControlPacket)
+            _set(packet, "body", body)
+            _set(packet, "geolocation", _geolocation_at(data, 4) if n > 4 else None)
+            return packet
     first, remaining, offset = _read_fixed_header(data)
     if len(data) - offset != remaining:
         raise MalformedPacket(

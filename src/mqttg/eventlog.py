@@ -5,21 +5,23 @@ timestamp, client_id, event, lat, lon, elev, distance_m, speed_kmh.
 The timestamp is UTC with milliseconds, as
 ``datetime.isoformat(timespec="milliseconds")`` writes it
 (``2024-05-01T12:00:00.123+00:00``). Geolocation columns stay empty when
-the packet carried none.
+the packet carried none. Rows are the bytes ``csv.writer`` would write:
+comma-separated, CRLF-terminated, and a client id quoted (its quotes
+doubled) only when it holds a comma, a quote, CR or LF; no other field
+can hold one.
 """
 
 from __future__ import annotations
 
-import csv
+import re
 import time
-from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable
 
 from .codec import GeoLocation
 
 COLUMNS = ("timestamp", "client_id", "event", "lat", "lon", "elev", "distance_m", "speed_kmh")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_needs_quotes = re.compile('[,"\r\n]').search
 
 
 class EventLog:
@@ -31,16 +33,16 @@ class EventLog:
 
     def __init__(self, streams: Iterable[IO[str]] = ()):
         streams = list(streams)
-        self._writers = [csv.writer(stream).writerow for stream in streams]
+        self._writes = [stream.write for stream in streams]
         self._flushes = [stream.flush for stream in streams]
         # (a whole second since the epoch, its "YYYY-MM-DDTHH:MM:SS")
         self._second = (None, "")
-        self._write(COLUMNS)
+        self._write(",".join(COLUMNS) + "\r\n")
         self.flush()
 
-    def _write(self, row) -> None:
-        for writerow in self._writers:
-            writerow(row)
+    def _write(self, line: str) -> None:
+        for write in self._writes:
+            write(line)
 
     def flush(self) -> None:
         """Push every row emitted so far to the streams."""
@@ -53,7 +55,7 @@ class EventLog:
         second, ns = divmod(time.time_ns(), 1_000_000_000)
         cached, prefix = self._second
         if cached != second:
-            prefix = (_EPOCH + timedelta(seconds=second)).isoformat(timespec="seconds")[:19]
+            prefix = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
             self._second = (second, prefix)
         return f"{prefix}.{ns // 1_000_000:03d}+00:00"
 
@@ -65,19 +67,9 @@ class EventLog:
         distance_m: float | None = None,
         speed_kmh: float | None = None,
     ) -> None:
-        if geo is None:
-            lat = lon = elev = ""
-        else:
-            lat, lon, elev = f"{geo.latitude:.6f}", f"{geo.longitude:.6f}", f"{geo.elevation:.6f}"
-        self._write(
-            (
-                self._timestamp(),
-                client_id,
-                event,
-                lat,
-                lon,
-                elev,
-                "" if distance_m is None else f"{distance_m:.6f}",
-                "" if speed_kmh is None else f"{speed_kmh:.6f}",
-            )
-        )
+        if _needs_quotes(client_id):
+            client_id = '"' + client_id.replace('"', '""') + '"'
+        where = ",," if geo is None else f"{geo.latitude:.6f},{geo.longitude:.6f},{geo.elevation:.6f}"
+        distance = "" if distance_m is None else f"{distance_m:.6f}"
+        speed = "" if speed_kmh is None else f"{speed_kmh:.6f}"
+        self._write(f"{self._timestamp()},{client_id},{event},{where},{distance},{speed}\r\n")

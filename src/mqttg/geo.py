@@ -27,17 +27,14 @@ from .record import FrozenRecord
 
 EARTH_RADIUS_M = 6_371_000.0
 
+_new = object.__new__
 _set = object.__setattr__
 
 
 def coordinates_valid(latitude: float, longitude: float) -> bool:
-    """True iff both are finite and in [-90, 90] and [-180, 180] degrees."""
-    return (
-        math.isfinite(latitude)
-        and math.isfinite(longitude)
-        and -90.0 <= latitude <= 90.0
-        and -180.0 <= longitude <= 180.0
-    )
+    """True iff both are finite and in [-90, 90] and [-180, 180] degrees
+    (a NaN fails every comparison, an infinity the range)."""
+    return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
 
 
 class GeoPoint(FrozenRecord):
@@ -298,7 +295,10 @@ def resolve_polygon(
     Static fences resolve to their own vertices. Dynamic fences translate
     each offset by the anchor's location, normalizing longitudes into
     (-180, 180]; with no anchor location known yet they raise
-    AnchorUnknown (the fence then evaluates as non-matching).
+    AnchorUnknown (the fence then evaluates as non-matching), and with a
+    vertex past a pole InvalidCoordinates. The anchor is a valid point and
+    the offsets are finite, so each vertex is finite and its normalized
+    longitude in range: only its latitude needs a check.
     """
     if fence.mode is FenceMode.STATIC:
         return fence.vertices
@@ -306,9 +306,14 @@ def resolve_polygon(
         raise AnchorUnknown(
             f"no known location for anchor client {fence.anchor_client!r}"
         )
+    anchor_lat, anchor_lon = anchor_location.latitude, anchor_location.longitude
     resolved = []
     for dlat, dlon in fence.vertex_offsets:
-        lat = anchor_location.latitude + dlat
-        lon = normalize_longitude(anchor_location.longitude + dlon)
-        resolved.append(GeoPoint(lat, lon))
+        lat = anchor_lat + dlat
+        if not -90.0 <= lat <= 90.0:
+            raise InvalidCoordinates(f"offset latitude {dlat!r} puts a vertex at {lat!r}")
+        vertex = _new(GeoPoint)  # GeoPoint(...) without checking again
+        _set(vertex, "latitude", lat)
+        _set(vertex, "longitude", normalize_longitude(anchor_lon + dlon))
+        resolved.append(vertex)
     return tuple(resolved)

@@ -26,6 +26,7 @@ from mqttg.geo import (
     FenceMode,
     GeofencePolygon,
     GeoPoint,
+    Ring,
     haversine_distance,
     inside_radius,
     latitude_band,
@@ -272,3 +273,46 @@ def test_dynamic_ring_decision_equals_vertex_ray_cast(data):
         state.update_last_location("anchor", geo(lat, lon), float(t))
         expect = vertices is not None and vertex_list_point_in_polygon(GeoPoint(*sub_at), vertices)
         assert bool(state.route("pub", "t", 0, None)) == expect
+
+
+def validated_ring(fence, anchor):
+    """A dynamic fence's Ring as it was built while resolution validated a
+    new GeoPoint per vertex."""
+    return Ring(tuple(
+        GeoPoint(anchor.latitude + dlat, normalize_longitude(anchor.longitude + dlon))
+        for dlat, dlon in fence.vertex_offsets
+    ))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_resolved_ring_equals_the_validated_construction(data):
+    offsets = tuple(data.draw(convex_offsets()))
+    fence = GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="anchor")
+    across = st.floats(170.0, 190.0).map(normalize_longitude)  # rings across the antimeridian
+    anchor = GeoPoint(data.draw(latitudes), data.draw(longitudes | across))
+    try:
+        old = validated_ring(fence, anchor)
+    except InvalidCoordinates:  # a vertex past a pole
+        old = None
+    try:
+        vertices = resolve_polygon(fence, anchor)
+    except InvalidCoordinates:
+        assert old is None
+        return
+    assert old is not None
+    assert all(type(v) is GeoPoint for v in vertices)
+    new = Ring(vertices)
+    assert (new.ref, new.points) == (old.ref, old.points)
+    assert (new.west, new.south, new.east, new.north) == (old.west, old.south, old.east, old.north)
+
+
+def test_an_offset_past_a_pole_fails_the_fence_closed():
+    offsets = ((0.2, -0.5), (0.2, 0.5), (-0.2, 0.0))
+    fence = GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="anchor")
+    state = fenced_state(fence, (89.9, 10.0))
+    state.update_last_location("anchor", geo(89.9, 10.0), 0.0)  # a vertex at 90.1
+    assert not state.route("pub", "t", 0, None)
+    state.update_last_location("sub", geo(45.0, 10.0), 1.0)
+    state.update_last_location("anchor", geo(45.0, 10.0), 1.0)
+    assert state.route("pub", "t", 0, None)

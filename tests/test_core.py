@@ -217,14 +217,15 @@ def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
 
 
 def test_importing_the_broker_does_not_load_the_client():
-    """The broker starts without the client library or ``dataclasses``: the
-    package root re-exports nothing and the broker's value classes are
-    written out, so ``import mqttg.broker`` loads only what it uses. A
-    module that was loaded before the import (by a site hook, say) does
-    not count."""
+    """The broker starts without the client library, ``dataclasses``,
+    ``csv`` or ``datetime``: the package root re-exports nothing, the
+    broker's value classes are written out and the event log formats its
+    rows and timestamps itself, so ``import mqttg.broker`` loads only what
+    it uses. A module that was loaded before the import (by a site hook,
+    say) does not count."""
     probe = (
         "import sys; before = set(sys.modules); import mqttg.broker; "
-        "print(sorted({'mqttg.client', 'dataclasses'} & (set(sys.modules) - before)))"
+        "print(sorted({'mqttg.client', 'dataclasses', 'csv', 'datetime'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
