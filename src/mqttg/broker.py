@@ -5,8 +5,9 @@ last-known-location table, the geofence registry and retained messages,
 and it makes every protocol decision: CONNECT, takeover, wills, QoS flows,
 routing, event rows and admin commands. It does no socket I/O and takes no
 locks; for each packet it returns the ordered writes ``(conn, bytes |
-None)``, where None closes that connection. Broker is the threaded driver
-that moves the bytes; it also serves the line-oriented admin socket.
+None)``, where None closes that connection. Broker is the driver that moves
+the bytes: one thread running a ``selectors`` loop over every socket,
+the line-oriented admin socket's included.
 
 Delivery rules for a publish on topic T, evaluated per subscriber:
   1. a plain filter matching T always passes;
@@ -49,11 +50,12 @@ verdict is the one inside_radius gives.
 from __future__ import annotations
 
 import logging
-import math
+import selectors
 import socket
-import struct
 import threading
 import time
+from functools import partial
+from selectors import EVENT_READ, EVENT_WRITE
 
 from .codec import (
     Connack,
@@ -100,7 +102,7 @@ from .geo import (
     point_in_polygon,
     resolve_polygon,
 )
-from .netio import SocketBuffer, read_frame
+from .netio import CHUNK, SocketBuffer, read_frame
 from .record import FrozenRecord, Record
 from .topics import TopicTree, topic_filter_valid, topic_matches
 
@@ -734,99 +736,52 @@ def load_fence_file(path: str, state: BrokerState) -> int:
 # ---------------------------------------------------------------------------
 
 
-STOP_WAIT_S = 5.0  # each of stop()'s waits for the broker's threads
-
-_TIMEVAL = struct.Struct("@ll")  # a native struct timeval: seconds, microseconds
-
-
-def _timeval(seconds: float) -> bytes:
-    """``seconds`` as SO_RCVTIMEO/SO_SNDTIMEO take it, rounded up to the
-    microsecond, so that only 0 reads as no limit."""
-    return _TIMEVAL.pack(*divmod(math.ceil(seconds * 1_000_000), 1_000_000))
+SWEEP_S = 0.5  # how often the loop checks every connection's deadlines
+OUT_LIMIT = 8 << 20  # bytes queued to one connection past which it is closed as a slow consumer
 
 
 class _Conn:
-    """A connection's socket. It stays blocking: its deadlines are the
-    kernel's SO_RCVTIMEO and SO_SNDTIMEO, since a socket with a Python
-    timeout polls before every recv and send. A read past its deadline
-    raises BlockingIOError."""
+    """A socket on the loop; ``serve`` handles its readable events. ``reader``
+    holds what it received (for an admin connection, a partial line), and
+    ``out`` what it did not take yet. Its deadline is ``timeout`` seconds (0:
+    none) since bytes last arrived and since ``out`` last became non-empty."""
 
-    def __init__(self, sock: socket.socket, addr):
+    __slots__ = ("sock", "addr", "serve", "reader", "out", "timeout", "heard", "queued")
+
+    def __init__(self, sock: socket.socket, addr, serve, timeout: float, now: float) -> None:
         self.sock = sock
         self.addr = addr
-        self.send_lock = threading.Lock()
-        self.timeout = 0.0  # seconds each read, and each whole write, may take; 0: no limit
+        self.serve = serve
+        self.reader = SocketBuffer(sock)
+        self.out = bytearray()
+        self.timeout = timeout
+        self.heard = self.queued = now
 
     def __repr__(self) -> str:
         return str(self.addr)
 
-    def set_timeout(self, seconds: float) -> None:
-        """Under the send lock: a write cut short restores the deadline it began with."""
-        with self.send_lock:
-            self.timeout = seconds
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(seconds))
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(seconds))
-
-    def send(self, data: bytes) -> None:
-        """Send all of ``data`` within one deadline for the whole write. A
-        send the kernel's timeout cut short is retried with only what is
-        left of it, so a reader that drains a trickle holds the writer no
-        longer than one deadline; TimeoutError once it has passed."""
-        with self.send_lock:
-            sock, timeout = self.sock, self.timeout
-            start = time.monotonic()
-            sent = sock.send(data)
-            if sent == len(data):
-                return
-            rest = memoryview(data)[sent:]
-            while rest:
-                if timeout:
-                    left = start + timeout - time.monotonic()
-                    if left <= 0.0:
-                        raise TimeoutError(f"write not done within {timeout} s")
-                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(left))
-                rest = rest[sock.send(rest):]
-            if timeout:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(timeout))
-
-    def shutdown(self) -> None:
-        """End the connection; any thread may. It wakes every thread blocked
-        on the socket but, unlike close, keeps the descriptor, so the next
-        accept cannot reuse it under them."""
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        """Only the connection's own thread closes it, once it is done."""
-        self.shutdown()
-        with self.send_lock:
-            self.sock.close()
-
 
 class Broker:
-    """Threaded TCP driver of BrokerState.
+    """TCP driver of BrokerState: one thread runs a ``selectors`` loop over
+    both listeners and every client and admin connection, all non-blocking.
 
-    A thread per connection reads its socket a chunk at a time
-    (netio.SocketBuffer). It decodes each frame and hands it to
-    ``state.receive`` under the one state lock, collecting the writes it
-    returns, until no whole frame is left in the chunk. With the chunk's
-    last frame it also flushes the event log, under that lock, which
-    serializes every row too; so every row reaches the log before the
-    bytes its packet caused. Then it performs the collected writes in
-    order, outside the lock under per-connection send locks, one send per
-    run of writes to one connection; so per-publisher delivery order is
-    preserved. When the connection ends, the writes still collected go
-    out before those of its release.
+    Each round serves the sockets ``select`` found ready. A readable client
+    connection gets one ``read_frame``, then ``state.receive`` decides each
+    frame its reader holds. The round then flushes the event log, so every
+    row precedes the bytes its packet caused, and performs the round's
+    writes in the order they were decided (see _write). Every SWEEP_S it
+    ends each connection that sent nothing for 1.5 x its keep-alive (10 s
+    before CONNECT; 0 sets no deadline), or whose queued bytes waited that
+    long.
 
     A CONNECT with a client id already in use takes the id over: the old
     session is dropped, its will is published, and any packet the old
     connection still sends is ignored. ``clean_session=0`` is served as a
-    clean session. Whatever ends a connection (DISCONNECT, EOF, keep-alive
-    timeout, malformed bytes, a failed or timed-out write to it, or an
-    error in the broker) closes only that connection and publishes its
-    will unless it sent DISCONNECT.
+    clean session. Whatever ends a connection (DISCONNECT, EOF, a deadline,
+    malformed bytes, a failed write, a full queue, or an error in the
+    broker) closes only that connection and publishes its will unless it
+    sent DISCONNECT. Read or change ``state`` only before ``start()`` or
+    after ``stop()``.
     """
 
     def __init__(
@@ -838,18 +793,14 @@ class Broker:
         event_log: EventLog | None = None,
     ):
         self.state = BrokerState(event_log)
-        self._lock = threading.Lock()
-        # Under the state lock: the live client and admin connections, and
-        # a Condition notified as each one ends.
-        self._conns: set[_Conn] = set()
-        self._ended = threading.Condition(self._lock)
-        self._accepters: list[threading.Thread] = []
-        self._host = host
-        self._port = port
-        self._admin_host = admin_host
-        self._admin_port = admin_port
+        self._conns: set[_Conn] = set()  # the live client and admin connections
+        self._address = (host, port)
+        self._admin_address = None if admin_port is None else (admin_host, admin_port)
         self._listener: socket.socket | None = None
         self._admin_listener: socket.socket | None = None
+        self._selector: selectors.BaseSelector | None = None
+        self._wake: socket.socket | None = None  # stop() sends a byte to it to end select()
+        self._thread: threading.Thread | None = None
         self._running = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -866,167 +817,212 @@ class Broker:
         return self._admin_listener.getsockname()[1]
 
     def load_fences(self, path: str) -> int:
-        with self._lock:
-            return load_fence_file(path, self.state)
+        """Load a fence file (see load_fence_file); call it before start()."""
+        return load_fence_file(path, self.state)
 
     def start(self) -> None:
-        """Listen on both ports and serve them; if the admin port cannot be
-        bound, close the client listener and raise."""
-        self._listener = self._listen(self._host, self._port)
-        served = [(self._listener, self._serve_client, "mqttg-accept")]
-        if self._admin_port is not None:
+        """Listen on both ports and serve them on the loop's thread; if the
+        admin port cannot be bound, close the client listener and raise."""
+        listener = socket.create_server(self._address, backlog=64)
+        admin = None
+        if self._admin_address is not None:
             try:
-                self._admin_listener = self._listen(self._admin_host, self._admin_port)
+                admin = socket.create_server(self._admin_address, backlog=64)
             except OSError:
-                self._listener.close()
-                self._listener = None
+                listener.close()
                 raise
-            served.append((self._admin_listener, self._serve_admin, "mqttg-admin"))
+        self._listener, self._admin_listener = listener, admin
+        self._selector = selectors.DefaultSelector()
+        woken, self._wake = socket.socketpair()
+        for sock, serve in (
+            (listener, partial(self._accept, self._read_client, 10.0)),  # 10 s until CONNECT
+            (admin, partial(self._accept, self._read_admin, 0.0)),
+            (woken, lambda conn, writes: None),
+        ):
+            if sock is not None:
+                sock.setblocking(False)
+                self._selector.register(sock, EVENT_READ, _Conn(sock, None, serve, 0.0, 0.0))
         self._running = True
-        for listener, serve, name in served:
-            thread = threading.Thread(target=self._accept, args=(listener, serve), daemon=True, name=name)
-            thread.start()
-            self._accepters.append(thread)
-        logger.info("broker listening on %s:%d", self._host, self.port)
-
-    @staticmethod
-    def _listen(host: str, port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            sock.listen(64)
-        except OSError:
-            sock.close()
-            raise
-        return sock
+        self._thread = threading.Thread(target=self._run, daemon=True, name="mqttg-broker")
+        self._thread.start()
+        logger.info("broker listening on %s:%d", self._address[0], self.port)
 
     def stop(self) -> None:
-        """End what start() started: shut the listeners and every client
-        and admin connection down, wait for the listeners' threads to end
-        and for each connection's thread to release its session, then
-        flush the event log."""
-        with self._lock:
+        """Wake the loop and wait until it has closed every socket, each
+        session released; then flush the event log. A second call, or one
+        without start(), only flushes."""
+        if self._running:
             self._running = False
-            conns = list(self._conns)
-        listeners = [s for s in (self._listener, self._admin_listener) if s is not None]
-        for listener in listeners:
+            self._wake.send(b"\0")
+            self._thread.join()
+            self._wake.close()
+        self.state.events.flush()
+
+    # -- the loop -------------------------------------------------------------
+
+    def _run(self) -> None:
+        selector = self._selector
+        writes: list[Write] = []
+        swept = time.monotonic()
+        while self._running:
             try:
-                listener.shutdown(socket.SHUT_RDWR)  # wakes its accept(), which close() would not
-            except OSError:
-                pass
-        for conn in conns:
-            conn.shutdown()
-        for thread in self._accepters:
-            thread.join(STOP_WAIT_S)
-        for listener in listeners:
-            listener.close()
-        with self._lock:
-            if not self._ended.wait_for(lambda: not self._conns, STOP_WAIT_S):
-                logger.warning("stop: %d connections still open", len(self._conns))
-            self.state.events.flush()
+                ready = selector.select(SWEEP_S)
+                now = time.monotonic()
+                for key, mask in ready:
+                    conn = key.data
+                    if mask & EVENT_WRITE:
+                        self._drain(conn, writes)
+                    if mask & EVENT_READ:
+                        conn.heard = now
+                        try:
+                            conn.serve(conn, writes)
+                        except Exception:
+                            logger.exception("%s: closing connection after an error", conn)
+                            writes.append((conn, None))
+                if now - swept >= SWEEP_S:
+                    swept = now
+                    self._sweep(now, writes)
+                self.state.events.flush()  # the round's rows go before its writes
+                self._write(writes)
+                writes = []
+            except Exception:
+                logger.exception("broker loop: a round failed")
+                writes = []
+        self._write([(conn, None) for conn in list(self._conns)])
+        for key in list(selector.get_map().values()):
+            key.fileobj.close()
+        selector.close()
+        self.state.events.flush()
 
-    def _accept(self, listener: socket.socket, serve) -> None:
-        """Serve each connection on its own thread, counted as live for
-        stop() to end; once stop() has begun, close it instead."""
-        while True:
-            try:
-                sock, addr = listener.accept()
-            except OSError:
-                return
-            conn = _Conn(sock, addr)
-            with self._lock:
-                if not self._running:
-                    break
-                self._conns.add(conn)
-            threading.Thread(target=serve, args=(conn,), daemon=True, name=f"mqttg-{addr}").start()
-        conn.close()
-
-    # -- client connections -----------------------------------------------------
-
-    def _serve_client(self, conn: _Conn) -> None:
-        sock = conn.sock
-        reader = SocketBuffer(sock)
-        pending: list[Write] = []  # the writes of the frames decided since the last send
+    def _accept(self, serve, timeout: float, listener: _Conn, writes: list[Write]) -> None:
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.set_timeout(10.0)  # until CONNECT sets the keep-alive
-            while self._running:
-                frame = read_frame(reader)
-                if frame is None:
-                    return
+            sock, addr = listener.sock.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Conn(sock, addr, serve, timeout, time.monotonic())
+        self._selector.register(sock, EVENT_READ, conn)
+        self._conns.add(conn)
+
+    def _sweep(self, now: float, writes: list[Write]) -> None:
+        """End every connection past its deadline."""
+        for conn in self._conns:
+            timeout = conn.timeout
+            if timeout and (now - conn.heard > timeout or conn.out and now - conn.queued > timeout):
+                logger.warning("%s: keep-alive timeout", conn)
+                writes.append((conn, None))
+
+    def _read_client(self, conn: _Conn, writes: list[Write]) -> None:
+        """Read once, then decide every frame the reader holds; a
+        connection that ends adds ``(conn, None)``."""
+        reader = conn.reader
+        try:
+            frame = read_frame(reader)
+            while frame is not None:
                 packet = decode_packet(frame)
-                batch_ends = not reader.holds_frame()
-                with self._lock:
-                    writes, keep_open = self.state.receive(conn, packet, time.monotonic())
-                    if batch_ends:
-                        self.state.events.flush()  # the batch's rows go before its writes
-                pending += writes
+                done, keep_open = self.state.receive(conn, packet, time.monotonic())
+                writes += done
                 if not keep_open:
-                    return
+                    break
                 if isinstance(packet.body, Connect):
-                    conn.set_timeout(packet.body.keep_alive * 1.5)
-                if batch_ends:
-                    self._write(pending)
-                    pending = []
-        except BlockingIOError:  # a read past the deadline
-            logger.warning("%s: keep-alive timeout", conn)
+                    conn.timeout = packet.body.keep_alive * 1.5
+                if not reader.holds_frame():
+                    return
+                frame = read_frame(reader)
+        except BlockingIOError:
+            return  # the rest of the frame has not arrived yet
         except CodecError as exc:
             logger.warning("%s: closing connection: %s", conn, exc)
         except OSError:
             pass  # the peer went away
-        except Exception:
-            logger.exception("%s: closing connection after an error", conn)
-        finally:
-            with self._lock:
-                pending += self.state.release(conn)
-                self.state.events.flush()
-                self._conns.discard(conn)
-                self._ended.notify_all()
-            self._write(pending)
-            conn.close()
+        writes.append((conn, None))
 
-    @staticmethod
-    def _write(writes: list[Write]) -> None:
-        """Perform the core's writes in order, joining a run of writes to
-        one connection into one send. A write that fails or times out shuts
-        its target down; the target's own thread then releases it."""
-        i, n = 0, len(writes)
-        while i < n:
-            target, data = writes[i]
-            i += 1
-            if data is not None:
-                start = i - 1
-                while i < n and writes[i][0] is target and writes[i][1] is not None:
-                    i += 1
-                if i - start > 1:
-                    data = b"".join([d for _, d in writes[start:i]])
-                try:
-                    target.send(data)
-                    continue
-                except OSError:
-                    pass
-            target.shutdown()
-
-    # -- admin socket -----------------------------------------------------------
-
-    def _serve_admin(self, conn: _Conn) -> None:
-        """Answer each line in turn; one that is not UTF-8 gets ERR. Replies
-        are sent on the socket: a write to the text file would drop the
-        lines it has read ahead."""
+    def _read_admin(self, conn: _Conn, writes: list[Write]) -> None:
+        """Answer each whole line, and at EOF a last one without a newline;
+        a line that is not UTF-8 gets ERR."""
         try:
-            with conn.sock.makefile("r", encoding="utf-8", errors="replace", newline="\n") as lines:
-                for line in lines:
-                    with self._lock:
-                        replies = self.state.admin_command(line.strip())
-                    conn.send("".join([reply + "\n" for reply in replies]).encode("utf-8"))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-                self._ended.notify_all()
-            conn.close()
+            chunk = conn.sock.recv(CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        reader = conn.reader
+        lines = (reader.data + chunk).split(b"\n")
+        reader.data = lines.pop() if chunk else b""
+        replies = [
+            reply + "\n"
+            for line in lines
+            for reply in self.state.admin_command(line.decode("utf-8", "replace").strip())
+        ]
+        if replies:
+            writes.append((conn, "".join(replies).encode("utf-8")))
+        if not chunk:
+            writes.append((conn, None))
+
+    # -- writes -----------------------------------------------------------------
+
+    def _write(self, writes: list[Write]) -> None:
+        """Perform the core's writes in order, joining a run of writes to
+        one connection into one send, made at once while nothing is queued
+        to it; what the socket does not take is queued. A ``(conn, None)``
+        write, a failed send or a queue past OUT_LIMIT ends the connection
+        (see _end); writes to a connection that has ended are dropped."""
+        i = 0
+        while i < len(writes):  # _end appends to it
+            conn, data = writes[i]
+            i += 1
+            if data is None:
+                self._end(conn, writes)
+                continue
+            start = i - 1
+            while i < len(writes) and writes[i][0] is conn and writes[i][1] is not None:
+                i += 1
+            if conn not in self._conns:
+                continue
+            if i - start > 1:
+                data = b"".join([d for _, d in writes[start:i]])
+            out = conn.out
+            if not out:
+                try:
+                    sent = conn.sock.send(data)
+                except BlockingIOError:
+                    sent = 0
+                except OSError:
+                    self._end(conn, writes)
+                    continue
+                if sent == len(data):
+                    continue
+                data = memoryview(data)[sent:]
+                conn.queued = time.monotonic()
+                self._selector.modify(conn.sock, EVENT_READ | EVENT_WRITE, conn)
+            out += data
+            if len(out) > OUT_LIMIT:
+                logger.warning("%s: closing a slow consumer: %d bytes queued", conn, len(out))
+                self._end(conn, writes)
+
+    def _drain(self, conn: _Conn, writes: list[Write]) -> None:
+        """Send what is queued to a writable connection."""
+        try:
+            del conn.out[: conn.sock.send(conn.out)]
+        except BlockingIOError:
+            return
+        except OSError:
+            writes.append((conn, None))
+            return
+        if not conn.out:
+            self._selector.modify(conn.sock, EVENT_READ, conn)
+
+    def _end(self, conn: _Conn, writes: list[Write]) -> None:
+        """Close ``conn`` once, dropping what is still queued to it; release
+        its session, flush the rows that made, and add its writes."""
+        if conn not in self._conns:
+            return
+        self._conns.remove(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        writes += self.state.release(conn)
+        self.state.events.flush()
 
 
 def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list[str]:

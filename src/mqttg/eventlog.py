@@ -27,9 +27,9 @@ _needs_quotes = re.compile('[,"\r\n]').search
 class EventLog:
     """Rows are written to each stream as they are emitted and flushed
     only by ``flush()``; the header is flushed at construction. Callers
-    serialize access: the broker emits and flushes under its state lock,
-    and flushes before it sends anything a packet caused, so each row a
-    packet caused reaches the streams first."""
+    serialize access: the broker emits and flushes only on its loop's one
+    thread, and flushes before it sends anything a packet caused, so each
+    row a packet caused reaches the streams first."""
 
     def __init__(self, streams: Iterable[IO[str]] = ()):
         streams = list(streams)

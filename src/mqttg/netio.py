@@ -52,37 +52,40 @@ class SocketBuffer:
             return True
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ConnectionError on EOF."""
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
+def recv_exact(reader: SocketBuffer, n: int) -> bytes:
+    """Receive until ``reader`` holds ``n`` bytes (it holds fewer), and return
+    them consumed; ConnectionError on EOF. Each recv asks only for what is
+    missing and keeps its bytes in ``reader``, so a recv that raises loses nothing."""
+    data = reader.data[reader.pos :]
+    reader.data, reader.pos = data, 0
+    while len(data) < n:
+        chunk = reader.sock.recv(n - len(data))
         if not chunk:
             raise ConnectionError("connection closed mid-packet")
-        chunks += chunk
-    return bytes(chunks)
+        reader.data = data = data + chunk
+    reader.data = b""
+    return data
 
 
 def read_frame(reader: SocketBuffer) -> bytes | None:
     """Read one whole control packet: its bytes, fixed header included, or
     None on an EOF or a reset at a packet boundary. A frame the reader
     holds comes back with no recv; otherwise each recv asks for ``CHUNK``
-    bytes, and a body that misses more is read in one ``recv_exact``."""
+    bytes, and a body that misses more is read by ``recv_exact``. A recv
+    that raises BlockingIOError leaves what came before it in ``reader``."""
     while True:
         data, pos = reader.data, reader.pos
         end = reader.frame_end()
         if end <= len(data):
             reader.pos = end
             return data[pos:end]
-        held = data[pos:]
         if end - len(data) > CHUNK:
-            frame = held + recv_exact(reader.sock, end - len(data))
-            reader.data, reader.pos = b"", 0
-            return frame
+            return recv_exact(reader, end - pos)
         try:
             chunk = reader.sock.recv(CHUNK)
         except (ConnectionResetError, BrokenPipeError):
             chunk = b""
+        held = data[pos:]
         if not chunk:
             if held:
                 raise ConnectionError("connection closed mid-packet")

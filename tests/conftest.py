@@ -15,4 +15,4 @@ def broker():
     b.log_buffer = log
     yield b
     b.stop()
-    assert b._accepters and not any(t.is_alive() for t in b._accepters)
+    assert b._thread is not None and not b._thread.is_alive()

@@ -1,9 +1,9 @@
-"""The broker's socket deadlines.
+"""The broker's deadlines.
 
-Accepted sockets stay blocking, so a recv or a send is one syscall; the
-deadlines are the kernel's SO_RCVTIMEO and SO_SNDTIMEO. A read that waits
-past 1.5 x keep-alive ends the connection as a keep-alive timeout, and a
-write has one deadline in total, however many sends it takes.
+The loop checks every connection each SWEEP_S. A connection that sent
+nothing for 1.5 x keep-alive is closed as a keep-alive timeout, and so is
+one whose queued bytes waited that long: one deadline in total for the
+queued bytes, however many sends a slow reader makes them take.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import socket
-import struct
 import time
+from selectors import EVENT_READ, EVENT_WRITE
 
 import pytest
 
@@ -20,14 +20,7 @@ import mqttg.broker as broker_module
 from mqttg.codec import Connect, ControlPacket, Will, decode_packet, encode_packet
 
 from rawsock import read_frame
-from test_network import mk_client
-
-TIMEVAL = struct.Struct("@ll")
-
-
-def seconds(timeval: bytes) -> float:
-    sec, usec = TIMEVAL.unpack(timeval)
-    return sec + usec / 1e6
+from test_network import mk_client, unstarted_broker
 
 
 def test_a_silent_client_is_closed_after_its_keep_alive_and_its_will_published(broker, caplog):
@@ -40,11 +33,6 @@ def test_a_silent_client_is_closed_after_its_keep_alive_and_its_will_published(b
             silent.sendall(encode_packet(ControlPacket(connect)))
             assert decode_packet(read_frame(silent)).body.return_code == 0
             started = time.monotonic()
-            with broker._lock:
-                accepted = next(c.sock for c in broker._conns if c.addr == silent.getsockname())
-            assert accepted.gettimeout() is None  # blocking: no poll() before each recv
-            timeval = accepted.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, TIMEVAL.size)
-            assert seconds(timeval) == pytest.approx(1.5, abs=0.01)
             assert read_frame(silent) is None  # the broker hangs up
             assert 1.2 <= time.monotonic() - started <= 2.5
             message = watcher.receive(timeout=3.0)
@@ -66,23 +54,20 @@ class FakeClock:
 
 
 class TrickleSocket:
-    """Takes ``take`` bytes per send, and each send takes ``cost`` seconds
-    of the fake clock. Records every SO_SNDTIMEO it is given."""
+    """Takes at most ``take`` bytes per send."""
 
-    def __init__(self, clock: FakeClock, take: int, cost: float) -> None:
-        self.clock, self.take, self.cost = clock, take, cost
+    def __init__(self, take: int) -> None:
+        self.take = take
         self.received = bytearray()
-        self.send_timeouts: list[float] = []
+        self.closed = False
 
     def send(self, data) -> int:
-        self.clock.now += self.cost
         chunk = bytes(data[: self.take])
         self.received += chunk
         return len(chunk)
 
-    def setsockopt(self, level, option, value) -> None:
-        if option == socket.SO_SNDTIMEO:
-            self.send_timeouts.append(seconds(value))
+    def close(self) -> None:
+        self.closed = True
 
 
 @pytest.fixture
@@ -92,40 +77,63 @@ def clock(monkeypatch):
     return clock
 
 
-def conn_with_keep_alive(sock: TrickleSocket, keep_alive: int) -> broker_module._Conn:
-    conn = broker_module._Conn(sock, ("peer", 1))
-    conn.set_timeout(keep_alive * 1.5)
-    sock.send_timeouts.clear()
-    return conn
+def connection(clock: FakeClock, take: int, keep_alive: int):
+    broker = unstarted_broker()
+    sock = TrickleSocket(take)
+    conn = broker_module._Conn(sock, ("peer", 1), None, keep_alive * 1.5, clock.now)
+    broker._conns.add(conn)
+    return broker, conn, sock
+
+
+def step(broker, conn, clock: FakeClock, seconds: float) -> None:
+    """``seconds`` pass, the peer sends something, its socket drains once
+    and the loop sweeps."""
+    clock.now += seconds
+    conn.heard = clock.now
+    ends = []
+    broker._drain(conn, ends)
+    broker._sweep(clock.now, ends)
+    broker._write(ends)
 
 
 def test_a_write_gives_up_once_its_whole_deadline_has_passed(clock):
-    sock = TrickleSocket(clock, take=3, cost=0.4)
-    conn = conn_with_keep_alive(sock, 1)
-    with pytest.raises(TimeoutError):
-        conn.send(bytes(100))
-    # sends end at 0.4, 0.8, 1.2 and 1.6 s: the fourth passes 1.5 s in total
-    assert clock.now == pytest.approx(101.6) and len(sock.received) == 12
-    # each send after a short one gets only what is left of the deadline
-    assert sock.send_timeouts == pytest.approx([1.1, 0.7, 0.3], abs=1e-5)
+    broker, conn, sock = connection(clock, take=3, keep_alive=1)
+    broker._write([(conn, bytes(100))])
+    assert broker._selector.events[sock] == EVENT_READ | EVENT_WRITE
+    for _ in range(3):  # drains at 0.4, 0.8 and 1.2 s, each a short send
+        step(broker, conn, clock, 0.4)
+        assert not sock.closed
+    step(broker, conn, clock, 0.4)  # 1.6 s since the bytes were first queued
+    assert sock.closed and conn not in broker._conns
 
 
 def test_a_write_done_in_time_restores_the_full_deadline(clock):
-    sock = TrickleSocket(clock, take=3, cost=0.1)
-    conn = conn_with_keep_alive(sock, 1)
-    conn.send(b"0123456789ab")
+    broker, conn, sock = connection(clock, take=3, keep_alive=1)
+    broker._write([(conn, b"0123456789ab")])
+    for _ in range(3):
+        step(broker, conn, clock, 0.1)
     assert bytes(sock.received) == b"0123456789ab"
-    assert sock.send_timeouts == pytest.approx([1.4, 1.3, 1.2, 1.5], abs=1e-5)
+    assert broker._selector.events[sock] == EVENT_READ
+    step(broker, conn, clock, 1.1)
+    broker._write([(conn, bytes(30))])  # 1.4 s after the first write
+    step(broker, conn, clock, 0.6)
+    assert not sock.closed  # 2.0 s after the first write, 0.6 s after the second
 
 
 def test_a_write_that_needs_one_send_sets_no_deadline(clock):
-    sock = TrickleSocket(clock, take=100, cost=0.1)
-    conn_with_keep_alive(sock, 1).send(bytes(100))
-    assert len(sock.received) == 100 and sock.send_timeouts == []
+    broker, conn, sock = connection(clock, take=100, keep_alive=1)
+    broker._write([(conn, bytes(60)), (conn, bytes(40))])
+    assert len(sock.received) == 100 and not conn.out
+    assert broker._selector.events == {}
 
 
 def test_a_write_without_keep_alive_never_gives_up(clock):
-    sock = TrickleSocket(clock, take=3, cost=10.0)
-    conn = conn_with_keep_alive(sock, 0)
-    conn.send(bytes(30))
-    assert len(sock.received) == 30 and sock.send_timeouts == []
+    broker, conn, sock = connection(clock, take=3, keep_alive=0)
+    broker._write([(conn, bytes(30))])
+    for _ in range(9):
+        clock.now += 1000.0
+        ends = []
+        broker._sweep(clock.now, ends)
+        assert ends == []
+        broker._drain(conn, ends)
+    assert len(sock.received) == 30 and not sock.closed

@@ -49,6 +49,22 @@ class ResettingSocket(FakeSocket):
         return super().recv(n)
 
 
+class NonBlockingSocket(FakeSocket):
+    """A FakeSocket with nothing to read at each None in ``chunks``: a recv
+    there raises BlockingIOError, as a non-blocking socket's does."""
+
+    def __init__(self, chunks):
+        super().__init__([])
+        self.chunks = list(chunks)
+
+    def recv(self, n: int) -> bytes:
+        if self.chunks and self.chunks[0] is None:
+            self.chunks.pop(0)
+            self.asked.append(n)
+            raise BlockingIOError
+        return super().recv(n)
+
+
 def read_all(source) -> list[bytes]:
     frames = []
     while (frame := read_frame(source)) is not None:
@@ -100,6 +116,20 @@ def test_a_frame_larger_than_the_chunk_reads_its_body_in_one_piece():
     sock = FakeSocket([frame])
     assert read_frame(SocketBuffer(sock)) == frame
     assert sock.asked == [CHUNK, len(frame) - CHUNK]
+
+
+def test_a_body_cut_by_a_non_blocking_socket_resumes_where_it_stopped():
+    frame = encode_packet(ControlPacket(Publish("big", bytes(4 * CHUNK))))
+    cuts = (CHUNK + 100, 2 * CHUNK + 300)
+    sock = NonBlockingSocket([frame[: cuts[0]], None, frame[cuts[0] : cuts[1]], None, frame[cuts[1] :]])
+    reader = SocketBuffer(sock)
+    for _ in cuts:
+        with pytest.raises(BlockingIOError):
+            read_frame(reader)
+    assert read_frame(reader) == frame
+    # each recv of the body asks only for what is still missing
+    held = (CHUNK, cuts[0], cuts[0], cuts[1], cuts[1])
+    assert sock.asked == [CHUNK, *(len(frame) - h for h in held)]
 
 
 def test_holds_frame_is_true_exactly_when_read_frame_needs_no_recv():

@@ -22,6 +22,7 @@ from mqttg.codec import (
     GeoConstraint,
     GeoLocation,
     Pingreq,
+    Pingresp,
     PubAck,
     PubComp,
     PubRec,
@@ -313,41 +314,42 @@ class TestSessionRules:
             first.disconnect()
 
     def test_taken_over_connection_leaves_successor_untouched(self, broker, monkeypatch):
-        # The old connection's last packet is held between decode and
-        # dispatch until a new connection has taken over its client id.
+        # The loop is held inside a third connection's frame while the new
+        # CONNECT and then the old connection's located packet arrive, so
+        # one round decides both, in the order they became ready.
         last = encode_packet(ControlPacket(Pingreq(), geo(45.0, 45.0)))
+        hold = encode_packet(ControlPacket(Pingreq()))
         held, release = threading.Event(), threading.Event()
-        holder = []
         decode = broker_module.decode_packet
 
         def held_decode(frame):
-            if frame == last:
-                holder.append(threading.current_thread())
+            if frame == hold:
                 held.set()
                 release.wait(5.0)
             return decode(frame)
 
         monkeypatch.setattr(broker_module, "decode_packet", held_decode)
-        old = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
-        new = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        socks = [socket.create_connection(("127.0.0.1", broker.port), timeout=3.0) for _ in range(3)]
+        old, new, holder = socks
         try:
-            old.sendall(encode_packet(ControlPacket(Connect(client_id="dup", keep_alive=5))))
-            assert decode_packet(read_frame(old)).body.return_code == 0
-            old.sendall(last)
+            for sock, cid in ((old, "dup"), (holder, "holder")):
+                sock.sendall(encode_packet(ControlPacket(Connect(client_id=cid, keep_alive=5))))
+                assert decode_packet(read_frame(sock)).body.return_code == 0
+            holder.sendall(hold)
             assert held.wait(3.0)
             new.sendall(encode_packet(ControlPacket(Connect(client_id="dup", keep_alive=5))))
-            assert decode_packet(read_frame(new)).body.return_code == 0
+            old.sendall(last)
             release.set()
-            holder[0].join(3.0)
-            assert not holder[0].is_alive()
+            assert decode_packet(read_frame(new)).body.return_code == 0
+            assert decode_packet(read_frame(holder)).body == Pingresp()
             assert "dup" not in broker.state.locations
             assert not broker.state.sessions["dup"].geo_capable
             rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
             assert [r for r in rows if r[1] == "dup" and r[2] == "LOCATION"] == []
         finally:
             release.set()
-            old.close()
-            new.close()
+            for sock in socks:
+                sock.close()
 
     def test_takeover_logs_the_first_connect_before_its_disconnect(self, broker, monkeypatch):
         encode = broker_module.encode_packet
@@ -401,8 +403,7 @@ class TestSessionRules:
         deadline = time.monotonic() + 3.0
         while broker.state.clients and time.monotonic() < deadline:
             time.sleep(0.05)
-        with broker._lock:
-            assert broker.state.clients == {} and "x" not in broker.state.sessions
+        assert broker.state.clients == {} and "x" not in broker.state.sessions
         rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
         assert [r[2] for r in rows if r[1] == "x"] == ["CONNECT", "DISCONNECT"] * (rounds * workers)
 
@@ -452,6 +453,46 @@ class TestSessionRules:
             pub.disconnect()
             watcher.disconnect()
 
+    def test_a_slow_consumer_without_keep_alive_cannot_wedge_the_publisher(self, broker):
+        """A keep_alive=0 subscriber that stops reading has no deadline: the
+        bound on its queue closes it and publishes its will, and the
+        publisher's QoS 1 publishes keep completing. Every wait is bounded."""
+        watcher = mk_client(broker, "watcher")
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(3.0)
+        slow.connect(("127.0.0.1", broker.port))
+        pub = socket.create_connection(("127.0.0.1", broker.port), timeout=5.0)
+        try:
+            watcher.subscribe("will/slow")
+            will = Will("will/slow", b"gone")
+            slow.sendall(encode_packet(ControlPacket(Connect(client_id="slow", keep_alive=0, will=will))))
+            assert decode_packet(read_frame(slow)).body.return_code == 0
+            slow.sendall(encode_packet(ControlPacket(Subscribe(1, (TopicFilter("big", 0),)))))
+            assert decode_packet(read_frame(slow)).body == Suback(1, (0,))
+            pub.sendall(encode_packet(ControlPacket(Connect(client_id="pub", keep_alive=0))))
+            assert decode_packet(read_frame(pub)).body.return_code == 0
+            big = encode_packet(ControlPacket(Publish("big", bytes(64_000))))
+            deadline = time.monotonic() + 20.0
+            message, pid = None, 0
+            while message is None and time.monotonic() < deadline:
+                pub.sendall(big * 16)  # bounded by the socket timeout, as is each read
+                pid += 1
+                pub.sendall(encode_packet(ControlPacket(Publish("acked", b"x", 1, packet_id=pid))))
+                assert decode_packet(read_frame(pub)).body == PubAck(pid)
+                message = watcher.receive(timeout=0)
+            assert message is not None and message.payload == b"gone"
+            started = time.monotonic()
+            for _ in range(5):
+                pid += 1
+                pub.sendall(big + encode_packet(ControlPacket(Publish("big", b"x", 1, packet_id=pid))))
+                assert decode_packet(read_frame(pub)).body == PubAck(pid)
+            assert time.monotonic() - started < 1.5
+        finally:
+            slow.close()
+            pub.close()
+            watcher.disconnect()
+
     def test_resent_qos2_publish_is_routed_once(self, broker):
         sub = mk_client(broker, "sub")
         raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
@@ -480,8 +521,7 @@ class TestSessionRules:
         try:
             full.subscribe("t", qos=1)
             other.subscribe("t", qos=1)
-            with broker._lock:
-                broker.state.sessions["full"].outbound = set(range(1, 65536))
+            broker.state.sessions["full"].outbound = set(range(1, 65536))
             pub.publish("t", b"x", qos=1)  # returns once the PUBACK arrives
             assert other.receive(timeout=3.0).payload == b"x"
             assert full.receive(timeout=0.4) is None
@@ -592,6 +632,26 @@ class TestSessionRules:
         sock.close()
 
 
+class FakeSelector:
+    """Records what a connection is registered for."""
+
+    def __init__(self) -> None:
+        self.events: dict[object, int] = {}
+
+    def modify(self, sock, events, data) -> None:
+        self.events[sock] = events
+
+    def unregister(self, sock) -> None:
+        self.events.pop(sock, None)
+
+
+def unstarted_broker() -> Broker:
+    """A broker whose write step can be driven without a loop."""
+    broker = Broker(host="127.0.0.1", port=0, admin_port=None, event_log=EventLog(()))
+    broker._selector = FakeSelector()
+    return broker
+
+
 def frames(*bodies, geolocation=None) -> bytes:
     return b"".join(encode_packet(ControlPacket(body, geolocation)) for body in bodies)
 
@@ -599,6 +659,26 @@ def frames(*bodies, geolocation=None) -> bytes:
 class TestBatchedFrames:
     """Frames that arrive in one segment are decided one by one and their
     writes sent together, in the order they were decided."""
+
+    def test_a_publish_cut_short_holds_no_other_client(self, broker):
+        sub = mk_client(broker, "sub")
+        pub = mk_client(broker, "pub")
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sub.subscribe("t", qos=1)
+            raw.sendall(encode_packet(ControlPacket(Connect(client_id="raw", keep_alive=60))))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            cut = encode_packet(ControlPacket(Publish("t", bytes(10_000))))
+            raw.sendall(cut[:1024])  # the header and 1 kB of the body, then nothing
+            time.sleep(0.1)
+            started = time.monotonic()
+            pub.publish("t", b"through", qos=1)  # returns once the PUBACK arrives
+            assert sub.receive(timeout=1.0).payload == b"through"
+            assert time.monotonic() - started < 1.0
+        finally:
+            raw.close()
+            pub.disconnect()
+            sub.disconnect()
 
     def test_four_publishes_in_one_segment_arrive_in_order(self, broker):
         sub = mk_client(broker, "sub")
@@ -649,27 +729,28 @@ class TestBatchedFrames:
     def test_a_run_of_writes_to_one_connection_is_one_send(self):
         done = []
 
-        class Target:
+        class Sock:
             def __init__(self, name, fail=False):
                 self.name, self.fail = name, fail
 
             def send(self, data):
                 if self.fail:
                     raise OSError("broken pipe")
-                done.append((self.name, data))
+                done.append((self.name, bytes(data)))
+                return len(data)
 
-            def shutdown(self):
+            def close(self):
                 done.append((self.name, None))
 
-        a, b, c = Target("a"), Target("b"), Target("c", fail=True)
-        Broker._write([
+        broker = unstarted_broker()
+        a, b, c = (broker_module._Conn(Sock(n, n == "c"), n, None, 0.0, 0.0) for n in "abc")
+        broker._conns.update((a, b, c))
+        broker._write([
             (a, b"1"), (a, b"2"), (b, b"3"), (a, b"4"), (a, None), (a, None), (a, b"5"),
             (c, b"6"), (c, b"7"), (b, b"8"),
         ])
-        assert done == [
-            ("a", b"12"), ("b", b"3"), ("a", b"4"), ("a", None), ("a", None), ("a", b"5"),
-            ("c", None), ("b", b"8"),
-        ]
+        # a closed connection is closed once and sent nothing more
+        assert done == [("a", b"12"), ("b", b"3"), ("a", b"4"), ("a", None), ("c", None), ("b", b"8")]
 
     def test_a_publish_row_is_flushed_before_its_puback_is_sent(self):
         stream = FlushedText()
@@ -728,7 +809,7 @@ class TestStop:
         with pytest.raises(OSError):
             admin_request("127.0.0.1", ports[1], "ADD-FENCE sub t static 1,1 1,-1 -1,-1 -1,1")
         assert broker.state.fences == {}
-        assert not any(t.is_alive() for t in broker._accepters)
+        assert not broker._thread.is_alive()
 
     def test_stop_ends_connections_that_sent_nothing(self):
         broker = self.started()
@@ -763,6 +844,45 @@ class TestStop:
         finally:
             for client in clients:
                 client.disconnect()
+
+
+class TestOneThread:
+    """The broker is one thread running one loop."""
+
+    def test_start_adds_one_thread_and_stop_leaves_none(self):
+        before = set(threading.enumerate())
+        broker = TestStop.started()
+        raws = [socket.create_connection(("127.0.0.1", port), timeout=3.0)
+                for port in (broker.port, broker.admin_port)]
+        try:
+            raws[0].sendall(encode_packet(ControlPacket(Connect(client_id="c", keep_alive=5))))
+            assert decode_packet(read_frame(raws[0])).body.return_code == 0
+            assert admin_request("127.0.0.1", broker.admin_port, "DUMP-LOCATIONS") == ["OK"]
+            assert set(threading.enumerate()) - before == {broker._thread}
+            broker.stop()
+            assert not broker._thread.is_alive()
+            started = time.monotonic()
+            broker.stop()  # a second stop returns at once
+            assert time.monotonic() - started < 0.1
+        finally:
+            for raw in raws:
+                raw.close()
+
+    def test_stop_without_start_only_flushes(self):
+        stream = FlushedText()
+        broker = Broker(host="127.0.0.1", port=0, admin_port=0, event_log=EventLog([stream]))
+        broker.state.events.emit("c", "CONNECT")
+        broker.stop()
+        assert stream.flushed.splitlines()[-1].split(",")[1:3] == ["c", "CONNECT"]
+        assert broker._thread is None
+
+    def test_a_broker_never_started_leaves_no_socket(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            broker = Broker(host="127.0.0.1", port=0, admin_port=0, event_log=EventLog(()))
+            del broker
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestEventLog:
