@@ -54,7 +54,6 @@ import selectors
 import socket
 import threading
 import time
-from functools import partial
 from selectors import EVENT_READ, EVENT_WRITE
 
 from .codec import (
@@ -741,19 +740,22 @@ OUT_LIMIT = 8 << 20  # bytes queued to one connection past which it is closed as
 
 
 class _Conn:
-    """A socket on the loop; ``serve`` handles its readable events. ``reader``
-    holds what it received (for an admin connection, a partial line), and
-    ``out`` what it did not take yet. Its deadline is ``timeout`` seconds (0:
-    none) since bytes last arrived and since ``out`` last became non-empty."""
+    """A client or admin connection; ``serve`` handles its readable events.
+    ``reader`` is a client's SocketBuffer or an admin connection's partial
+    line; ``out`` holds what the socket did not take yet. Its deadline is
+    ``timeout`` seconds (0: none) since bytes last arrived (``heard``), and
+    since ``queued``: when ``out`` became non-empty, or when the ``mark``
+    bytes in it then had all been sent."""
 
-    __slots__ = ("sock", "addr", "serve", "reader", "out", "timeout", "heard", "queued")
+    __slots__ = ("sock", "addr", "serve", "reader", "out", "mark", "timeout", "heard", "queued")
 
-    def __init__(self, sock: socket.socket, addr, serve, timeout: float, now: float) -> None:
+    def __init__(self, sock: socket.socket, addr, serve, reader, timeout: float, now: float) -> None:
         self.sock = sock
         self.addr = addr
         self.serve = serve
-        self.reader = SocketBuffer(sock)
+        self.reader = reader
         self.out = bytearray()
+        self.mark = 0
         self.timeout = timeout
         self.heard = self.queued = now
 
@@ -765,23 +767,21 @@ class Broker:
     """TCP driver of BrokerState: one thread runs a ``selectors`` loop over
     both listeners and every client and admin connection, all non-blocking.
 
-    Each round serves the sockets ``select`` found ready. A readable client
-    connection gets one ``read_frame``, then ``state.receive`` decides each
-    frame its reader holds. The round then flushes the event log, so every
-    row precedes the bytes its packet caused, and performs the round's
-    writes in the order they were decided (see _write). Every SWEEP_S it
-    ends each connection that sent nothing for 1.5 x its keep-alive (10 s
-    before CONNECT; 0 sets no deadline), or whose queued bytes waited that
-    long.
+    Each round gives a readable client connection one ``read_frame`` and
+    has ``state.receive`` decide each frame its reader holds; then it
+    flushes the event log, so rows precede the bytes their packets caused,
+    and performs the writes in the order they were decided (see _write).
+    Every SWEEP_S it ends each connection that sent nothing for 1.5 x its
+    keep-alive (10 s before CONNECT; 0 sets none), or whose queued bytes
+    waited that long (see _Conn).
 
-    A CONNECT with a client id already in use takes the id over: the old
-    session is dropped, its will is published, and any packet the old
-    connection still sends is ignored. ``clean_session=0`` is served as a
-    clean session. Whatever ends a connection (DISCONNECT, EOF, a deadline,
-    malformed bytes, a failed write, a full queue, or an error in the
-    broker) closes only that connection and publishes its will unless it
-    sent DISCONNECT. Read or change ``state`` only before ``start()`` or
-    after ``stop()``.
+    A CONNECT with a client id in use takes the id over: the old session is
+    dropped and its will published; the old connection's packets are
+    ignored. ``clean_session=0`` is served as a clean session. Whatever
+    ends a connection (DISCONNECT, EOF, a deadline, malformed bytes, a
+    failed write, a full queue, an error) closes only it and publishes its
+    will unless it sent DISCONNECT. Touch ``state`` only before ``start()``
+    or after ``stop()``.
     """
 
     def __init__(
@@ -812,9 +812,7 @@ class Broker:
 
     @property
     def admin_port(self) -> int | None:
-        if self._admin_listener is None:
-            return None
-        return self._admin_listener.getsockname()[1]
+        return None if self._admin_listener is None else self._admin_listener.getsockname()[1]
 
     def load_fences(self, path: str) -> int:
         """Load a fence file (see load_fence_file); call it before start()."""
@@ -834,14 +832,11 @@ class Broker:
         self._listener, self._admin_listener = listener, admin
         self._selector = selectors.DefaultSelector()
         woken, self._wake = socket.socketpair()
-        for sock, serve in (
-            (listener, partial(self._accept, self._read_client, 10.0)),  # 10 s until CONNECT
-            (admin, partial(self._accept, self._read_admin, 0.0)),
-            (woken, lambda conn, writes: None),
-        ):
+        # key.data: the handler of a listener's readable events; None for the wake socket
+        for sock, data in ((listener, self._accept), (admin, self._accept), (woken, None)):
             if sock is not None:
                 sock.setblocking(False)
-                self._selector.register(sock, EVENT_READ, _Conn(sock, None, serve, 0.0, 0.0))
+                self._selector.register(sock, EVENT_READ, data)
         self._running = True
         self._thread = threading.Thread(target=self._run, daemon=True, name="mqttg-broker")
         self._thread.start()
@@ -870,8 +865,12 @@ class Broker:
                 now = time.monotonic()
                 for key, mask in ready:
                     conn = key.data
+                    if conn.__class__ is not _Conn:
+                        if conn is not None:
+                            conn(key.fileobj)  # a listener's accept
+                        continue
                     if mask & EVENT_WRITE:
-                        self._drain(conn, writes)
+                        self._drain(conn, now, writes)
                     if mask & EVENT_READ:
                         conn.heard = now
                         try:
@@ -883,25 +882,29 @@ class Broker:
                     swept = now
                     self._sweep(now, writes)
                 self.state.events.flush()  # the round's rows go before its writes
-                self._write(writes)
-                writes = []
             except Exception:
                 logger.exception("broker loop: a round failed")
-                writes = []
+            self._write(writes)  # what the round decided goes, whatever failed in it
+            writes = []
         self._write([(conn, None) for conn in list(self._conns)])
         for key in list(selector.get_map().values()):
             key.fileobj.close()
         selector.close()
         self.state.events.flush()
 
-    def _accept(self, serve, timeout: float, listener: _Conn, writes: list[Write]) -> None:
+    def _accept(self, listener: socket.socket) -> None:
+        """Take a connection from a listener: a client's has 10 s to send
+        CONNECT, an admin connection has no deadline."""
         try:
-            sock, addr = listener.sock.accept()
+            sock, addr = listener.accept()
         except OSError:
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, addr, serve, timeout, time.monotonic())
+        if listener is self._listener:
+            conn = _Conn(sock, addr, self._read_client, SocketBuffer(sock), 10.0, time.monotonic())
+        else:
+            conn = _Conn(sock, addr, self._read_admin, b"", 0.0, time.monotonic())
         self._selector.register(sock, EVENT_READ, conn)
         self._conns.add(conn)
 
@@ -947,9 +950,8 @@ class Broker:
             return
         except OSError:
             chunk = b""
-        reader = conn.reader
-        lines = (reader.data + chunk).split(b"\n")
-        reader.data = lines.pop() if chunk else b""
+        lines = (conn.reader + chunk).split(b"\n")
+        conn.reader = lines.pop() if chunk else b""
         replies = [
             reply + "\n"
             for line in lines
@@ -963,27 +965,33 @@ class Broker:
     # -- writes -----------------------------------------------------------------
 
     def _write(self, writes: list[Write]) -> None:
-        """Perform the core's writes in order, joining a run of writes to
-        one connection into one send, made at once while nothing is queued
-        to it; what the socket does not take is queued. A ``(conn, None)``
-        write, a failed send or a queue past OUT_LIMIT ends the connection
-        (see _end); writes to a connection that has ended are dropped."""
+        """Perform the core's writes in order, a run to one connection as one
+        send, made at once while nothing is queued to it; the rest is queued.
+        ``(conn, None)``, a failed send, an error or a write that would take a
+        non-empty queue past OUT_LIMIT ends only that connection (see _end)."""
         i = 0
         while i < len(writes):  # _end appends to it
             conn, data = writes[i]
             i += 1
-            if data is None:
-                self._end(conn, writes)
-                continue
-            start = i - 1
-            while i < len(writes) and writes[i][0] is conn and writes[i][1] is not None:
-                i += 1
-            if conn not in self._conns:
-                continue
-            if i - start > 1:
-                data = b"".join([d for _, d in writes[start:i]])
-            out = conn.out
-            if not out:
+            try:
+                if data is None:
+                    self._end(conn, writes)
+                    continue
+                start = i - 1
+                while i < len(writes) and writes[i][0] is conn and writes[i][1] is not None:
+                    i += 1
+                if conn not in self._conns:
+                    continue
+                if i - start > 1:
+                    data = b"".join([d for _, d in writes[start:i]])
+                out = conn.out
+                if out:
+                    if len(out) + len(data) > OUT_LIMIT:
+                        logger.warning("%s: closing a slow consumer: %d bytes queued", conn, len(out))
+                        self._end(conn, writes)
+                    else:
+                        out += data
+                    continue
                 try:
                     sent = conn.sock.send(data)
                 except BlockingIOError:
@@ -991,27 +999,30 @@ class Broker:
                 except OSError:
                     self._end(conn, writes)
                     continue
-                if sent == len(data):
-                    continue
-                data = memoryview(data)[sent:]
-                conn.queued = time.monotonic()
-                self._selector.modify(conn.sock, EVENT_READ | EVENT_WRITE, conn)
-            out += data
-            if len(out) > OUT_LIMIT:
-                logger.warning("%s: closing a slow consumer: %d bytes queued", conn, len(out))
+                if sent < len(data):
+                    out += memoryview(data)[sent:]
+                    conn.mark, conn.queued = len(out), time.monotonic()
+                    self._selector.modify(conn.sock, EVENT_READ | EVENT_WRITE, conn)
+            except Exception:
+                logger.exception("%s: closing connection after an error", conn)
                 self._end(conn, writes)
 
-    def _drain(self, conn: _Conn, writes: list[Write]) -> None:
-        """Send what is queued to a writable connection."""
+    def _drain(self, conn: _Conn, now: float, writes: list[Write]) -> None:
+        """Send what is queued; once the ``mark`` bytes have gone, reset the deadline."""
+        out = conn.out
         try:
-            del conn.out[: conn.sock.send(conn.out)]
+            sent = conn.sock.send(out)
         except BlockingIOError:
             return
         except OSError:
             writes.append((conn, None))
             return
-        if not conn.out:
+        del out[:sent]
+        conn.mark -= sent
+        if not out:
             self._selector.modify(conn.sock, EVENT_READ, conn)
+        elif conn.mark <= 0:
+            conn.mark, conn.queued = len(out), now
 
     def _end(self, conn: _Conn, writes: list[Write]) -> None:
         """Close ``conn`` once, dropping what is still queued to it; release

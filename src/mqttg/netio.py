@@ -20,7 +20,8 @@ class SocketBuffer:
     ``read_frame`` has not returned yet, from ``pos`` on. Frames that
     arrive together cost one ``recv`` between them. Every read of the
     connection must go through ``read_frame``, or bytes held here are
-    skipped."""
+    skipped. ``data`` is a bytearray only while ``recv_exact`` holds part
+    of a body."""
 
     __slots__ = ("sock", "data", "pos")
 
@@ -53,33 +54,36 @@ class SocketBuffer:
 
 
 def recv_exact(reader: SocketBuffer, n: int) -> bytes:
-    """Receive until ``reader`` holds ``n`` bytes (it holds fewer), and return
-    them consumed; ConnectionError on EOF. Each recv asks only for what is
-    missing and keeps its bytes in ``reader``, so a recv that raises loses nothing."""
-    data = reader.data[reader.pos :]
-    reader.data, reader.pos = data, 0
+    """Receive until ``reader`` holds ``n`` bytes, and return them consumed;
+    ConnectionError on EOF. Each recv asks only for what is missing and adds
+    to a bytearray the reader holds, so a recv that raises loses nothing."""
+    data = reader.data
+    if data.__class__ is not bytearray:
+        data = reader.data = bytearray(data[reader.pos :])
+        reader.pos = 0
     while len(data) < n:
         chunk = reader.sock.recv(n - len(data))
         if not chunk:
             raise ConnectionError("connection closed mid-packet")
-        reader.data = data = data + chunk
+        data += chunk
     reader.data = b""
-    return data
+    return bytes(data)
 
 
 def read_frame(reader: SocketBuffer) -> bytes | None:
     """Read one whole control packet: its bytes, fixed header included, or
     None on an EOF or a reset at a packet boundary. A frame the reader
     holds comes back with no recv; otherwise each recv asks for ``CHUNK``
-    bytes, and a body that misses more is read by ``recv_exact``. A recv
-    that raises BlockingIOError leaves what came before it in ``reader``."""
+    bytes, and a body that misses more, or one ``recv_exact`` began, is read
+    by ``recv_exact``. A recv that raises BlockingIOError leaves what came
+    before it in ``reader``."""
     while True:
         data, pos = reader.data, reader.pos
         end = reader.frame_end()
         if end <= len(data):
             reader.pos = end
             return data[pos:end]
-        if end - len(data) > CHUNK:
+        if end - len(data) > CHUNK or data.__class__ is bytearray:
             return recv_exact(reader, end - pos)
         try:
             chunk = reader.sock.recv(CHUNK)

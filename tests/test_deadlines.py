@@ -3,7 +3,8 @@
 The loop checks every connection each SWEEP_S. A connection that sent
 nothing for 1.5 x keep-alive is closed as a keep-alive timeout, and so is
 one whose queued bytes waited that long: one deadline in total for the
-queued bytes, however many sends a slow reader makes them take.
+queued bytes, however many sends a slow reader makes them take, set
+again each time the bytes queued when it was set have all been sent.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def clock(monkeypatch):
 def connection(clock: FakeClock, take: int, keep_alive: int):
     broker = unstarted_broker()
     sock = TrickleSocket(take)
-    conn = broker_module._Conn(sock, ("peer", 1), None, keep_alive * 1.5, clock.now)
+    conn = broker_module._Conn(sock, ("peer", 1), None, None, keep_alive * 1.5, clock.now)
     broker._conns.add(conn)
     return broker, conn, sock
 
@@ -91,7 +92,7 @@ def step(broker, conn, clock: FakeClock, seconds: float) -> None:
     clock.now += seconds
     conn.heard = clock.now
     ends = []
-    broker._drain(conn, ends)
+    broker._drain(conn, clock.now, ends)
     broker._sweep(clock.now, ends)
     broker._write(ends)
 
@@ -135,5 +136,29 @@ def test_a_write_without_keep_alive_never_gives_up(clock):
         ends = []
         broker._sweep(clock.now, ends)
         assert ends == []
-        broker._drain(conn, ends)
+        broker._drain(conn, clock.now, ends)
     assert len(sock.received) == 30 and not sock.closed
+
+
+def test_a_queue_that_never_empties_but_drains_each_write_in_time_stays_open(clock):
+    broker, conn, sock = connection(clock, take=10, keep_alive=1)
+    broker._write([(conn, bytes(30))])
+    for _ in range(10):  # 4 s: a write of 10 bytes and a drain of 10 every 0.4 s
+        clock.now += 0.4
+        broker._write([(conn, bytes(10))])
+        step(broker, conn, clock, 0.0)
+        assert conn.out and not sock.closed
+    assert len(sock.received) == 110
+
+
+def test_a_write_larger_than_the_bound_is_queued_whole_but_not_added_to(clock):
+    limit = broker_module.OUT_LIMIT
+    broker, conn, sock = connection(clock, take=1000, keep_alive=0)
+    broker._write([(conn, bytes(limit + 2000))])
+    assert conn in broker._conns and len(conn.out) == limit + 1000
+    for _ in range(2):
+        broker._drain(conn, clock.now, [])
+    broker._write([(conn, bytes(1000))])  # fills the queue to the bound
+    assert conn in broker._conns and len(conn.out) == limit
+    broker._write([(conn, b"x")])  # would pass it: a slow consumer
+    assert sock.closed and conn not in broker._conns

@@ -3,6 +3,7 @@ wherever the stream is cut."""
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
@@ -130,6 +131,19 @@ def test_a_body_cut_by_a_non_blocking_socket_resumes_where_it_stopped():
     # each recv of the body asks only for what is still missing
     held = (CHUNK, cuts[0], cuts[0], cuts[1], cuts[1])
     assert sock.asked == [CHUNK, *(len(frame) - h for h in held)]
+
+
+def test_a_body_in_many_small_recvs_is_copied_in_linear_time():
+    frame = encode_packet(ControlPacket(Publish("big", bytes(8 << 20))))
+    pieces = [frame[i : i + 1024] for i in range(0, len(frame), 1024)]
+    sock = NonBlockingSocket([c for piece in pieces for c in (piece, None)])
+    reader = SocketBuffer(sock)
+    started = time.perf_counter()
+    for _ in pieces[:-1]:
+        with pytest.raises(BlockingIOError):
+            read_frame(reader)
+    assert read_frame(reader) == frame
+    assert time.perf_counter() - started < 1.0  # a copy of the body per recv takes seconds
 
 
 def test_holds_frame_is_true_exactly_when_read_frame_needs_no_recv():

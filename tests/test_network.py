@@ -743,7 +743,7 @@ class TestBatchedFrames:
                 done.append((self.name, None))
 
         broker = unstarted_broker()
-        a, b, c = (broker_module._Conn(Sock(n, n == "c"), n, None, 0.0, 0.0) for n in "abc")
+        a, b, c = (broker_module._Conn(Sock(n, n == "c"), n, None, None, 0.0, 0.0) for n in "abc")
         broker._conns.update((a, b, c))
         broker._write([
             (a, b"1"), (a, b"2"), (b, b"3"), (a, b"4"), (a, None), (a, None), (a, b"5"),
@@ -883,6 +883,74 @@ class TestOneThread:
             del broker
             gc.collect()
         assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestLargeWrites:
+    """Any one write is queued whole, however large: OUT_LIMIT bounds what
+    a write may add to bytes already queued."""
+
+    def test_a_publish_past_the_queue_bound_reaches_a_reading_subscriber(self, broker):
+        sub = mk_client(broker, "sub")
+        pub = mk_client(broker, "pub")
+        try:
+            sub.subscribe("big", qos=1)
+            # more than the bound and a socket buffer together
+            payload = bytes(range(256)) * (2 * broker_module.OUT_LIMIT // 256)
+            pub.publish("big", payload, qos=1)
+            message = sub.receive(timeout=10.0)
+            assert message is not None and message.payload == payload
+        finally:
+            pub.disconnect()
+            sub.disconnect()
+
+    def test_a_dump_past_the_queue_bound_arrives_whole(self, monkeypatch):
+        monkeypatch.setattr(broker_module, "OUT_LIMIT", 4096)
+        broker = Broker(host="127.0.0.1", port=0, admin_host="127.0.0.1", admin_port=0,
+                        event_log=EventLog(()))
+        for i in range(1000):
+            broker.state.update_last_location(f"c{i:04d}", geo(i / 100, -i / 100), 0.0)
+        broker.start()
+        try:
+            lines = admin_request("127.0.0.1", broker.admin_port, "DUMP-LOCATIONS")
+        finally:
+            broker.stop()
+        assert [line.split()[0] for line in lines] == [f"c{i:04d}" for i in range(1000)] + ["OK"]
+        assert sum(len(line) + 1 for line in lines) > 4096
+
+
+class FailingFlush(FlushedText):
+    """A stream whose flushes fail once ``broken`` is set."""
+
+    broken = False
+
+    def flush(self) -> None:
+        if self.broken:
+            raise OSError("no space left on device")
+        super().flush()
+
+
+class TestARoundThatFails:
+    def test_a_log_that_cannot_flush_drops_no_reply_and_no_will(self):
+        stream = FailingFlush()
+        broker = Broker(host="127.0.0.1", port=0, admin_port=None, event_log=EventLog([stream]))
+        stream.broken = True
+        broker.start()
+        watcher = None
+        raw = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            watcher = mk_client(broker, "watcher")  # its CONNACK is sent
+            watcher.subscribe("will/raw")
+            raw.sendall(frames(Connect(client_id="raw", keep_alive=5, will=Will("will/raw", b"gone"))))
+            assert decode_packet(read_frame(raw)).body.return_code == 0
+            raw.close()  # ended: its session released, its will published
+            message = watcher.receive(timeout=3.0)
+            assert message is not None and message.payload == b"gone"
+        finally:
+            raw.close()
+            if watcher is not None:
+                watcher.disconnect()
+            stream.broken = False
+            broker.stop()
 
 
 class TestEventLog:
