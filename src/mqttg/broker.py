@@ -812,7 +812,9 @@ class Broker:
 
     @property
     def admin_port(self) -> int | None:
-        return None if self._admin_listener is None else self._admin_listener.getsockname()[1]
+        if self._admin_listener is None:
+            return None
+        return self._admin_listener.getsockname()[1]
 
     def load_fences(self, path: str) -> int:
         """Load a fence file (see load_fence_file); call it before start()."""
