@@ -13,7 +13,7 @@ import sys
 import time
 
 from .broker import Broker, admin_request
-from .client import ClientConfig, GeoMode, MqttgClient
+from .client import ClientConfig, MqttgClient
 from .codec import ConstraintKind, GeoConstraint, GeoLocation
 from .errors import MQTTgError
 from .eventlog import EventLog
@@ -129,20 +129,17 @@ def _location_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _client_config(args, default_id: str) -> ClientConfig:
-    geo_mode = GeoMode.OFF
     source = None
     if args.lat is not None or args.lon is not None:
         if args.lat is None or args.lon is None:
             raise MQTTgError("--lat and --lon must be given together")
         fix = GeoLocation(1, args.lat, args.lon, args.elev)
-        geo_mode = GeoMode.ATTACH_ALL
         source = lambda: fix
     return ClientConfig(
         client_id=args.client_id or default_id,
         host=args.host,
         port=args.port,
         keep_alive=args.keep_alive,
-        geo_mode=geo_mode,
         location_source=source,
     )
 
@@ -241,7 +238,6 @@ def cmd_replay(args) -> int:
         host=args.host,
         port=args.port,
         keep_alive=args.keep_alive,
-        geo_mode=GeoMode.ATTACH_ALL,
         location_source=lambda: current[0],
     )
     client = MqttgClient(config).connect()

@@ -1,11 +1,11 @@
-"""MQTTg client: connection lifecycle, geo-attach policy, geo-constrained
-subscribe, publish with location, and inbound message dispatch.
+"""MQTTg client: connection lifecycle, geo-constrained subscribe, publish
+with location, and inbound message dispatch.
 
-In AttachAll mode the location source is sampled at packet-build time and
-its fix rides on every geo-capable packet the client emits (PUBLISHG,
-QoS-flow acks, SUBSCRIBE, UNSUBSCRIBE, PINGREQ, DISCONNECT). A source
-that yields nothing degrades the packet to its plain MQTT form. In Off
-mode the client is byte-identical to a baseline MQTT 3.1.1 client.
+With a location source the client samples it at packet-build time, and its
+fix rides on every geo-capable packet the client emits (PUBLISHG, QoS-flow
+acks, SUBSCRIBE, UNSUBSCRIBE, PINGREQ, DISCONNECT). A source that yields
+nothing degrades the packet to its plain MQTT form. Without a source the
+client is byte-identical to a baseline MQTT 3.1.1 client.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator
 
 from .codec import (
@@ -58,11 +57,6 @@ from .topics import topic_filter_valid
 logger = logging.getLogger("mqttg.client")
 
 
-class GeoMode(Enum):
-    OFF = "off"
-    ATTACH_ALL = "attach_all"
-
-
 LocationSource = Callable[[], "GeoLocation | None"]
 
 
@@ -72,7 +66,6 @@ class ClientConfig:
     host: str = "127.0.0.1"
     port: int = 1883
     keep_alive: int = 60
-    geo_mode: GeoMode = GeoMode.OFF
     location_source: LocationSource | None = None
     clean_session: bool = True
     will: Will | None = None
@@ -95,23 +88,15 @@ class InboundMessage:
 
 
 class _Flow:
-    """One in-flight acknowledged exchange."""
+    """One in-flight acknowledged exchange: the reply class it waits for,
+    and that reply once it came (still None if the connection was lost)."""
 
-    __slots__ = ("stage", "event", "failed", "payload")
+    __slots__ = ("reply", "event", "body")
 
-    def __init__(self, stage: str):
-        self.stage = stage
+    def __init__(self, reply: type):
+        self.reply = reply
         self.event = threading.Event()
-        self.failed = False
-        self.payload: object = None
-
-    def finish(self, payload: object = None) -> None:
-        self.payload = payload
-        self.event.set()
-
-    def fail(self) -> None:
-        self.failed = True
-        self.event.set()
+        self.body = None
 
 
 class MqttgClient:
@@ -159,6 +144,8 @@ class MqttgClient:
                 frame = read_frame(self._reader)
             except socket.timeout:
                 raise ConnectTimeout("no CONNACK within the connect timeout") from None
+            except BlockingIOError:  # a body longer than CHUNK is no CONNACK
+                raise ConnectTimeout("expected CONNACK, got a longer packet") from None
             if frame is None:
                 raise ConnectTimeout("connection closed before CONNACK")
             packet = decode_packet(frame)
@@ -175,8 +162,8 @@ class MqttgClient:
         return self
 
     def disconnect(self) -> None:
-        """Send DISCONNECT (with the final location under AttachAll) and
-        close. Idempotent."""
+        """Send DISCONNECT (with the final location, given a location
+        source) and close. Idempotent."""
         with self._state_lock:
             was_connected = self._connected
             self._connected = False
@@ -202,7 +189,7 @@ class MqttgClient:
         if qos == 0:
             self._send(ControlPacket(Publish(topic, payload, 0, retain), self._geo()))
             return
-        with self._acked_flow("await_puback" if qos == 1 else "await_pubrec") as (pid, flow):
+        with self._acked_flow(PubAck if qos == 1 else PubRec) as (pid, flow):
             self._exchange(
                 ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), self._geo()),
                 flow,
@@ -210,7 +197,7 @@ class MqttgClient:
             )
             if qos == 2:
                 # The pid stays reserved from PUBLISH through PUBCOMP.
-                relflow = _Flow("await_pubcomp")
+                relflow = _Flow(PubComp)
                 with self._state_lock:
                     self._flows[pid] = relflow
                 self._exchange(
@@ -224,21 +211,20 @@ class MqttgClient:
         if not topic_filter_valid(topic):
             raise SubscriptionRefused(f"invalid topic filter {topic!r}")
         self._require_connected()
-        with self._acked_flow("await_suback") as (pid, flow):
+        with self._acked_flow(Suback) as (pid, flow):
             self._exchange(
                 ControlPacket(Subscribe(pid, (TopicFilter(topic, qos, constraint),)), self._geo()),
                 flow,
                 f"subscribe {topic!r}",
             )
-        codes = flow.payload
-        assert isinstance(codes, tuple)
-        if codes[0] == 0x80:
+        code = flow.body.return_codes[0]
+        if code == 0x80:
             raise SubscriptionRefused(f"broker refused filter {topic!r}")
-        return codes[0]
+        return code
 
     def unsubscribe(self, topic: str) -> None:
         self._require_connected()
-        with self._acked_flow("await_unsuback") as (pid, flow):
+        with self._acked_flow(Unsuback) as (pid, flow):
             self._exchange(
                 ControlPacket(Unsubscribe(pid, (topic,)), self._geo()),
                 flow,
@@ -246,7 +232,8 @@ class MqttgClient:
             )
 
     def ping(self) -> None:
-        """Send a keep-alive PINGREQ now (a location heartbeat under AttachAll)."""
+        """Send a keep-alive PINGREQ now (a location heartbeat, given a
+        location source)."""
         self._require_connected()
         self._send(ControlPacket(Pingreq(), self._geo()))
 
@@ -260,20 +247,18 @@ class MqttgClient:
     # -- internals ----------------------------------------------------------------
 
     def _geo(self) -> GeoLocation | None:
-        cfg = self.config
-        if cfg.geo_mode is not GeoMode.ATTACH_ALL or cfg.location_source is None:
-            return None
-        return cfg.location_source()
+        source = self.config.location_source
+        return None if source is None else source()
 
     def _require_connected(self) -> None:
         if not self._connected or self._sock is None:
             raise NotConnected("client is not connected")
 
     @contextmanager
-    def _acked_flow(self, stage: str) -> Iterator[tuple[int, _Flow]]:
+    def _acked_flow(self, reply: type) -> Iterator[tuple[int, _Flow]]:
         """Reserve a packet id for one acknowledged exchange and register
         its flow; the id is freed when the exchange ends, however it ends."""
-        flow = _Flow(stage)
+        flow = _Flow(reply)
         with self._state_lock:
             pid = self._alloc_pid()
             self._flows[pid] = flow
@@ -309,7 +294,7 @@ class MqttgClient:
         self._send(packet)
         if not flow.event.wait(deadline):
             raise DeliveryTimeout(f"{what} unacknowledged after {deadline:g} s")
-        if flow.failed:
+        if flow.body is None:
             raise NotConnected(f"connection lost during {what}")
 
     def _reader_loop(self) -> None:
@@ -332,7 +317,10 @@ class MqttgClient:
                             answer_by = min(answer_by, now + 1.5 * keep_alive)
                         elif selector.select(min(due, answer_by - now)):
                             break
-                    frame = read_frame(reader)
+                    try:
+                        frame = read_frame(reader)
+                    except BlockingIOError:
+                        continue  # the rest of the body has not arrived yet
                     if frame is None:
                         break
                     answer_by = float("inf")
@@ -357,37 +345,23 @@ class MqttgClient:
                 self._messages.put(message)
                 self._send(ControlPacket(PubAck(body.packet_id), self._geo()))
             else:
-                with self._state_lock:
-                    self._inbound_qos2[body.packet_id] = message
+                self._inbound_qos2[body.packet_id] = message
                 self._send(ControlPacket(PubRec(body.packet_id), self._geo()))
         elif isinstance(body, PubRel):
-            with self._state_lock:
-                message = self._inbound_qos2.pop(body.packet_id, None)
+            message = self._inbound_qos2.pop(body.packet_id, None)
             if message is not None:
                 self._messages.put(message)
             self._send(ControlPacket(PubComp(body.packet_id), self._geo()))
-        elif isinstance(body, PubAck):
-            self._finish_flow(body.packet_id, "await_puback")
-        elif isinstance(body, PubRec):
-            self._finish_flow(body.packet_id, "await_pubrec")
-        elif isinstance(body, PubComp):
-            self._finish_flow(body.packet_id, "await_pubcomp")
-        elif isinstance(body, Suback):
-            self._finish_flow(body.packet_id, "await_suback", body.return_codes)
-        elif isinstance(body, Unsuback):
-            self._finish_flow(body.packet_id, "await_unsuback")
-        elif isinstance(body, Pingresp):
-            pass
-        else:
+        elif isinstance(body, (PubAck, PubRec, PubComp, Suback, Unsuback)):
+            with self._state_lock:
+                flow = self._flows.get(body.packet_id)
+            if flow is not None and flow.reply is body.__class__:
+                flow.body = body
+                flow.event.set()
+            else:
+                logger.debug("stray %s for pid %d", packet.packet_type.name, body.packet_id)
+        elif not isinstance(body, Pingresp):
             logger.warning("unexpected %s from broker", packet.packet_type.name)
-
-    def _finish_flow(self, pid: int, stage: str, payload: object = None) -> None:
-        with self._state_lock:
-            flow = self._flows.get(pid)
-        if flow is None or flow.stage != stage:
-            logger.debug("stray ack for pid %d stage %s", pid, stage)
-            return
-        flow.finish(payload)
 
     def _shutdown(self) -> None:
         self._connected = False
@@ -395,7 +369,7 @@ class MqttgClient:
             flows = list(self._flows.values())
             self._flows.clear()
         for flow in flows:
-            flow.fail()
+            flow.event.set()
         if self._sock is not None:
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)

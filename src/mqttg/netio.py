@@ -54,18 +54,21 @@ class SocketBuffer:
 
 
 def recv_exact(reader: SocketBuffer, n: int) -> bytes:
-    """Receive until ``reader`` holds ``n`` bytes, and return them consumed;
-    ConnectionError on EOF. Each recv asks only for what is missing and adds
-    to a bytearray the reader holds, so a recv that raises loses nothing."""
+    """Receive once, asking for what ``reader`` still misses of ``n`` bytes,
+    and return the ``n`` bytes consumed once it holds them; BlockingIOError
+    while it does not, ConnectionError on EOF. The bytes go to a bytearray
+    the reader holds, so a recv that raises loses nothing, and a large body
+    holds the caller for one recv at a time."""
     data = reader.data
     if data.__class__ is not bytearray:
         data = reader.data = bytearray(data[reader.pos :])
         reader.pos = 0
-    while len(data) < n:
-        chunk = reader.sock.recv(n - len(data))
-        if not chunk:
-            raise ConnectionError("connection closed mid-packet")
-        data += chunk
+    chunk = reader.sock.recv(n - len(data))
+    if not chunk:
+        raise ConnectionError("connection closed mid-packet")
+    data += chunk
+    if len(data) < n:
+        raise BlockingIOError("the rest of the body has not arrived yet")
     reader.data = b""
     return bytes(data)
 
@@ -74,8 +77,9 @@ def read_frame(reader: SocketBuffer) -> bytes | None:
     """Read one whole control packet: its bytes, fixed header included, or
     None on an EOF or a reset at a packet boundary. A frame the reader
     holds comes back with no recv; otherwise each recv asks for ``CHUNK``
-    bytes, and a body that misses more, or one ``recv_exact`` began, is read
-    by ``recv_exact``. A recv that raises BlockingIOError leaves what came
+    bytes, and a body that misses more, or one ``recv_exact`` began, goes to
+    ``recv_exact``, which raises BlockingIOError after each recv that leaves
+    it incomplete. A recv that raises BlockingIOError leaves what came
     before it in ``reader``."""
     while True:
         data, pos = reader.data, reader.pos

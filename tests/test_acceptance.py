@@ -13,7 +13,7 @@ from random import Random
 import pytest
 
 from mqttg.broker import admin_request
-from mqttg.client import ClientConfig, GeoMode, MqttgClient
+from mqttg.client import ClientConfig, MqttgClient
 from mqttg.codec import (
     GEO_BLOCK_SIZE,
     ControlPacket,
@@ -257,11 +257,11 @@ def test_criterion_7_qos2_flow_with_geolocation(broker):
     sub_tap = Tap("127.0.0.1", broker.port)
     sub = MqttgClient(ClientConfig(
         client_id="geo-sub", port=sub_tap.port,
-        geo_mode=GeoMode.ATTACH_ALL, location_source=lambda: sub_fix,
+        location_source=lambda: sub_fix,
     )).connect()
     pub = MqttgClient(ClientConfig(
         client_id="geo-pub", port=pub_tap.port,
-        geo_mode=GeoMode.ATTACH_ALL, location_source=lambda: pub_fix,
+        location_source=lambda: pub_fix,
     )).connect()
     try:
         sub.subscribe("fleet/q2", qos=2)

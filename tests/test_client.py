@@ -6,19 +6,24 @@ import time
 
 import pytest
 
-from mqttg.client import ClientConfig, GeoMode, MqttgClient
+from mqttg.client import ClientConfig, MqttgClient
 from mqttg.codec import (
     Connack,
     ControlPacket,
     GeoLocation,
     PacketType,
     PubAck,
+    PubComp,
+    PubRec,
+    PubRel,
     Publish,
+    Suback,
     decode_packet,
     decode_remaining_length,
     encode_packet,
 )
-from mqttg.errors import DeliveryTimeout, MalformedPacket
+from mqttg.errors import ConnectTimeout, DeliveryTimeout, MalformedPacket
+from mqttg.netio import CHUNK
 
 from nettap import Tap
 from rawsock import read_frame
@@ -52,7 +57,6 @@ def test_attach_all_puts_geo_on_every_capable_packet(broker):
     config = ClientConfig(
         client_id="geo-everywhere",
         port=tap.port,
-        geo_mode=GeoMode.ATTACH_ALL,
         location_source=lambda: fix,
     )
     client = MqttgClient(config).connect()
@@ -99,7 +103,6 @@ def test_attach_all_degrades_gracefully_without_fix(broker):
     config = ClientConfig(
         client_id="no-fix",
         port=tap.port,
-        geo_mode=GeoMode.ATTACH_ALL,
         location_source=lambda: None,
     )
     client = MqttgClient(config).connect()
@@ -121,7 +124,6 @@ def test_location_sampled_at_send_time(broker):
     config = ClientConfig(
         client_id="fresh",
         port=broker.port,
-        geo_mode=GeoMode.ATTACH_ALL,
         location_source=lambda: fixes[0],
     )
     tap = Tap("127.0.0.1", broker.port)
@@ -231,6 +233,89 @@ def test_a_publish_that_arrives_with_the_connack_is_dispatched():
         finally:
             client.disconnect()
             peer[0].close()
+
+
+def test_a_connect_answered_by_a_long_packet_fails_and_closes():
+    """A first packet whose body spans recvs is no CONNACK: connect()
+    raises ConnectTimeout, not the reader's wait-for-more signal."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            read_frame(sock)  # CONNECT
+            frame = encode_packet(ControlPacket(Publish("big", bytes(4 * CHUNK))))
+            sock.sendall(frame[: 2 * CHUNK])  # the rest never comes
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="long", port=listener.getsockname()[1]))
+        with pytest.raises(ConnectTimeout):
+            client.connect()
+        server.join(5.0)
+        assert not server.is_alive()
+        with peer[0] as sock:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF: the client closed its end
+
+
+def test_each_exchange_waits_for_its_own_reply_class():
+    """Acks that carry an exchange's packet id but are of another class are
+    ignored: a QoS 1 publish ends at its PUBACK, a QoS 2 one at its PUBREC
+    (then its PUBCOMP). After each stray ack the peer sends a QoS 1
+    PUBLISH; its PUBACK shows the client has dispatched the stray ones."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            read_frame(sock)  # CONNECT
+            sock.sendall(encode_packet(ControlPacket(Connack(False, 0))))
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="strict", port=listener.getsockname()[1]))
+        client.connect()
+        server.join(5.0)
+        assert not server.is_alive()
+        sock = peer[0]
+        sock.settimeout(3.0)
+
+        def publish(qos):
+            publisher = threading.Thread(target=client.publish, args=("t", b"x", qos))
+            publisher.start()
+            return publisher, decode_packet(read_frame(sock)).body.packet_id
+
+        def send(*bodies):
+            sock.sendall(b"".join(encode_packet(ControlPacket(body)) for body in bodies))
+
+        def stray(publisher, *bodies):
+            send(*bodies, Publish("sync", b"", 1, packet_id=7))
+            assert decode_packet(read_frame(sock)).body == PubAck(7)
+            assert client.receive(timeout=3.0).topic == "sync"
+            publisher.join(0.2)
+            assert publisher.is_alive()
+
+        try:
+            publisher, pid = publish(1)
+            stray(publisher, PubRec(pid), Suback(pid, (0,)))
+            send(PubAck(pid))
+            publisher.join(3.0)
+            assert not publisher.is_alive()
+
+            publisher, pid = publish(2)
+            stray(publisher, PubAck(pid), PubComp(pid))
+            send(PubRec(pid))
+            assert decode_packet(read_frame(sock)).body == PubRel(pid)
+            stray(publisher, PubAck(pid), PubRec(pid))
+            send(PubComp(pid))
+            publisher.join(3.0)
+            assert not publisher.is_alive()
+        finally:
+            client.disconnect()
+            sock.close()
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,18 @@ class NonBlockingSocket(FakeSocket):
         return super().recv(n)
 
 
+def read_counting_blocks(reader) -> tuple[bytes | None, int]:
+    """read_frame, called again after each BlockingIOError, as a caller's
+    loop does once the socket is readable again: the frame, and how many
+    calls raised BlockingIOError before it."""
+    blocked = 0
+    while True:
+        try:
+            return read_frame(reader), blocked
+        except BlockingIOError:
+            blocked += 1
+
+
 def read_all(source) -> list[bytes]:
     frames = []
     while (frame := read_frame(source)) is not None:
@@ -124,10 +136,8 @@ def test_a_body_cut_by_a_non_blocking_socket_resumes_where_it_stopped():
     cuts = (CHUNK + 100, 2 * CHUNK + 300)
     sock = NonBlockingSocket([frame[: cuts[0]], None, frame[cuts[0] : cuts[1]], None, frame[cuts[1] :]])
     reader = SocketBuffer(sock)
-    for _ in cuts:
-        with pytest.raises(BlockingIOError):
-            read_frame(reader)
-    assert read_frame(reader) == frame
+    # a call blocks at each None and after each recv that left the body short
+    assert read_counting_blocks(reader) == (frame, 2 * len(cuts))
     # each recv of the body asks only for what is still missing
     held = (CHUNK, cuts[0], cuts[0], cuts[1], cuts[1])
     assert sock.asked == [CHUNK, *(len(frame) - h for h in held)]
@@ -139,11 +149,29 @@ def test_a_body_in_many_small_recvs_is_copied_in_linear_time():
     sock = NonBlockingSocket([c for piece in pieces for c in (piece, None)])
     reader = SocketBuffer(sock)
     started = time.perf_counter()
-    for _ in pieces[:-1]:
-        with pytest.raises(BlockingIOError):
-            read_frame(reader)
-    assert read_frame(reader) == frame
+    assert read_counting_blocks(reader) == (frame, 2 * (len(pieces) - 1))
     assert time.perf_counter() - started < 1.0  # a copy of the body per recv takes seconds
+
+
+def test_an_incomplete_body_costs_one_recv_per_call():
+    """A sender that always has more to give holds the caller for one recv
+    at a time, so a loop can serve other connections between them."""
+    frame = encode_packet(ControlPacket(Publish("big", bytes(8 * CHUNK))))
+    sock = FakeSocket([frame[i : i + 1000] for i in range(0, len(frame), 1000)])
+    reader = SocketBuffer(sock)
+    recvs = []
+    while True:
+        asked = len(sock.asked)
+        try:
+            got = read_frame(reader)
+        except BlockingIOError:
+            got = None
+        recvs.append(len(sock.asked) - asked)
+        if got is not None:
+            break
+    assert got == frame
+    # the first call's first recv reads the fixed header
+    assert recvs == [2, 1, 1, 1]
 
 
 def test_holds_frame_is_true_exactly_when_read_frame_needs_no_recv():
@@ -233,4 +261,4 @@ def test_a_reset_at_a_boundary_reads_as_eof_and_mid_frame_raises():
     big = frame_of_length(16384)
     for cut in (frame[:1], frame[:2], frame[:3], frame[:-1], big[: 2 * CHUNK]):
         with pytest.raises(ConnectionError):
-            read_frame(SocketBuffer(ResettingSocket([cut])))
+            read_counting_blocks(SocketBuffer(ResettingSocket([cut])))

@@ -12,7 +12,7 @@ import pytest
 
 import mqttg.broker as broker_module
 from mqttg.broker import Broker, admin_request
-from mqttg.client import ClientConfig, GeoMode, MqttgClient
+from mqttg.client import ClientConfig, MqttgClient
 from mqttg.codec import (
     Connack,
     Connect,
@@ -45,16 +45,13 @@ from test_eventlog import FlushedText
 
 def mk_client(broker, client_id, location=None, **kw):
     source = None
-    mode = GeoMode.OFF
     if location is not None:
         holder = location if isinstance(location, list) else [location]
         source = lambda: holder[0]
-        mode = GeoMode.ATTACH_ALL
     config = ClientConfig(
         client_id=client_id,
         host="127.0.0.1",
         port=broker.port,
-        geo_mode=mode,
         location_source=source,
         connect_timeout=5.0,
         **kw,
@@ -352,30 +349,38 @@ class TestSessionRules:
                 sock.close()
 
     def test_takeover_logs_the_first_connect_before_its_disconnect(self, broker, monkeypatch):
-        encode = broker_module.encode_packet
+        # The loop is held inside a third connection's frame while both
+        # CONNECTs arrive, so one round decides both: the takeover's
+        # DISCONNECT row must still fall between the two CONNECT rows.
+        hold = encode_packet(ControlPacket(Pingreq()))
         held, release = threading.Event(), threading.Event()
+        decode = broker_module.decode_packet
 
-        def held_connack(packet):
-            if isinstance(packet.body, Connack) and not held.is_set():
+        def held_decode(frame):
+            if frame == hold:
                 held.set()
-                release.wait(1.0)  # the first CONNECT is decided, its row not yet written
-            return encode(packet)
+                release.wait(5.0)
+            return decode(frame)
 
-        monkeypatch.setattr(broker_module, "encode_packet", held_connack)
-        first = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
-        second = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        monkeypatch.setattr(broker_module, "decode_packet", held_decode)
+        socks = [socket.create_connection(("127.0.0.1", broker.port), timeout=3.0) for _ in range(3)]
+        first, second, holder = socks
         try:
-            first.sendall(encode(ControlPacket(Connect(client_id="x", keep_alive=5))))
+            holder.sendall(encode_packet(ControlPacket(Connect(client_id="holder", keep_alive=5))))
+            assert decode_packet(read_frame(holder)).body.return_code == 0
+            holder.sendall(hold)
             assert held.wait(3.0)
-            second.sendall(encode(ControlPacket(Connect(client_id="x", keep_alive=5))))
-            assert decode_packet(read_frame(second)).body.return_code == 0
+            for sock in (first, second):
+                sock.sendall(encode_packet(ControlPacket(Connect(client_id="x", keep_alive=5))))
             release.set()
+            assert decode_packet(read_frame(second)).body.return_code == 0
+            assert decode_packet(read_frame(holder)).body == Pingresp()
             rows = list(csv.reader(broker.log_buffer.getvalue().splitlines()))
             assert [r[2] for r in rows if r[1] == "x"] == ["CONNECT", "DISCONNECT", "CONNECT"]
         finally:
             release.set()
-            first.close()
-            second.close()
+            for sock in socks:
+                sock.close()
 
     def test_takeover_storm_pairs_each_connect_with_one_disconnect(self, broker):
         rounds, workers = 10, 6
