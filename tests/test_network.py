@@ -14,7 +14,6 @@ import mqttg.broker as broker_module
 from mqttg.broker import Broker, admin_request
 from mqttg.client import ClientConfig, MqttgClient
 from mqttg.codec import (
-    Connack,
     Connect,
     ConstraintKind,
     ControlPacket,
