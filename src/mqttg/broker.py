@@ -20,6 +20,9 @@ Delivery rules for a publish on topic T, evaluated per subscriber:
 Subscribers that are geo-capable or matched through a geo-constrained
 filter receive the geolocation block intact; everyone else gets a plain
 PUBLISH with the block stripped. Outgoing QoS is min(publish, granted).
+A QoS 0 publish that is not retained is itself each copy that keeps its
+block choice, so that copy is the frame it came in; every other copy is
+encoded.
 
 Routing reads a plan per topic, so a publish costs what matches it, not
 the size of the table. A plan holds the subscriber maps of the filters
@@ -286,10 +289,11 @@ class BrokerState:
                 if body.retain:
                     # Retained copies never keep the geolocation block.
                     self.set_retained(body.topic, body.payload, body.qos)
+                source = packet if body.qos == 0 and not body.retain else None
                 for d in self.route(cid, body.topic, body.qos, geo):
                     self._queue_publish(
                         writes, d.client_id, body.topic, body.payload, d.qos,
-                        geo if d.include_geo else None,
+                        geo if d.include_geo else None, source=source,
                     )
             if body.qos == 1:
                 reply = PubAck(body.packet_id)
@@ -393,9 +397,12 @@ class BrokerState:
         qos: int,
         geo: GeoLocation | None = None,
         retain: bool = False,
+        source: ControlPacket | None = None,
     ) -> None:
         """Encode a publish to a connected client and open its QoS flow.
-        A client out of packet ids misses this copy."""
+        A client out of packet ids misses this copy. ``source``, a received
+        QoS 0 publish that is not retained, is itself each copy that is QoS
+        0, not retained and keeps its block choice."""
         session = self.sessions[client_id]
         if session.owner is None:
             return
@@ -409,7 +416,10 @@ class BrokerState:
             if session.outbound is None:
                 session.outbound = set()
             session.outbound.add(pid)
-        pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
+        if source is not None and qos == 0 and not retain and geo is source.geolocation:
+            pkt = source
+        else:
+            pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
         writes.append((session.owner, encode_packet(pkt)))
 
     # -- location table -----------------------------------------------------

@@ -13,6 +13,11 @@ packet identifier leads its variable header, and the codec for the rest
 of its body. The block follows the packet identifier, or opens the body
 when the type has none.
 
+A decoded packet encodes to its own frame: a PUBLISH or PUBLISHG in
+``bytes`` takes a straight path that keeps the frame when encoding the
+fields gives it back (a minimal remaining length, no NaN elevation in a
+version-1 block). Every other frame takes the general path.
+
 MQTT's own integers are big-endian; the geolocation fields (and the
 radius/latitude/longitude of geo-constrained subscription filters) are
 little-endian IEEE-754.
@@ -295,14 +300,18 @@ class ControlPacket(FrozenRecord):
 
     A Publish body with a geolocation encodes as PUBLISHG; without one it
     is a plain PUBLISH. For the other geo-capable types the geolocation
-    is signalled by fixed-header flag bit 2.
+    is signalled by fixed-header flag bit 2. ``frame`` is not a field: it
+    holds the bytes a decoded PUBLISH or PUBLISHG came in, when encoding
+    its fields gives those very bytes, and None otherwise.
     """
 
-    __slots__ = _fields = ("body", "geolocation")
+    __slots__ = ("body", "geolocation", "frame")
+    _fields = ("body", "geolocation")
 
     def __init__(self, body: Body, geolocation: GeoLocation | None = None) -> None:
         _set(self, "body", body)
         _set(self, "geolocation", geolocation)
+        _set(self, "frame", None)
 
     @property
     def packet_type(self) -> PacketType:
@@ -701,6 +710,8 @@ _BY_BODY = {spec.body: spec for spec in _PACKETS}
 #: reserved 0) and its _Spec (None for 0, PUBLISH and PUBLISHG).
 _TYPES = (None, *PacketType)
 _SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
+#: The type nibbles of PUBLISH and PUBLISHG.
+_PUBLISH_TYPES = (PacketType.PUBLISH.value, PacketType.PUBLISHG.value)
 #: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
 _ID_FRAME = struct.Struct(">BBH")
 #: The acks whose body is only a packet identifier, with or without the
@@ -722,8 +733,11 @@ def encode_packet(packet: ControlPacket) -> bytes:
     """Serialize a control packet, geolocation block included.
 
     Raises EncodeError naming the violated invariant when the packet
-    cannot be represented on the wire.
+    cannot be represented on the wire. A decoded packet that kept its
+    frame is that frame.
     """
+    if packet.frame is not None:
+        return packet.frame
     body, geo = packet.body, packet.geolocation
     if isinstance(body, Publish):
         return _encode_publish(body, geo)
@@ -820,7 +834,17 @@ def decode_packet(data: bytes) -> ControlPacket:
             packet = _new(ControlPacket)
             _set(packet, "body", body)
             _set(packet, "geolocation", _geolocation_at(data, 4) if n > 4 else None)
+            _set(packet, "frame", None)
             return packet
+    if n > 4 and data[0] >> 4 in _PUBLISH_TYPES and data.__class__ is bytes:
+        packet = _publish_frame(data)
+        if packet is not None:
+            return packet
+    return _decode_frame(data)
+
+
+def _decode_frame(data: bytes) -> ControlPacket:
+    """decode_packet's general path, for any frame."""
     first, remaining, offset = _read_fixed_header(data)
     if len(data) - offset != remaining:
         raise MalformedPacket(
@@ -856,3 +880,55 @@ def _decode_publish(geo_type: bool, flags: int, reader: _Reader) -> ControlPacke
     geo = reader.geolocation() if geo_type else None
     body = Publish(topic, reader.rest(), qos, retain, dup, packet_id)
     return ControlPacket(body, geo)
+
+
+def _publish_frame(data: bytes) -> ControlPacket | None:
+    """decode_packet's straight path: the PUBLISH or PUBLISHG in ``data``,
+    five bytes or more, keeping ``data`` as its frame; None for a frame the
+    general path rejects or encode_packet would not give back."""
+    n, first = len(data), data[0]
+    qos, remaining, pos = first >> 1 & 0x03, data[1], 2
+    if remaining > 0x7F:
+        try:
+            remaining, pos = decode_remaining_length(data, 1)
+        except MalformedPacket:
+            return None
+    # A last length byte of 0, as in 80 00, is not minimal: encode_packet writes less.
+    if qos == 3 or not qos and first & 0x08 or n - pos != remaining or not data[pos - 1]:
+        return None
+    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+    try:
+        topic = data[pos + 2 : end].decode()
+    except UnicodeDecodeError:
+        return None
+    if end > n or not topic_name_valid(topic):
+        return None
+    packet_id = None
+    if qos:
+        packet_id = data[end] << 8 | data[end + 1] if end + 2 <= n else 0
+        if not packet_id:
+            return None
+        end += 2
+    geo = None
+    if first >> 4 == PacketType.PUBLISHG:
+        if end + GEO_BLOCK_SIZE > n:
+            return None
+        version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data, end)
+        raw = data[end : end + GEO_BLOCK_SIZE] if version != 1 else None
+        # struct packs a signalling NaN elevation back as a quiet one.
+        if raw is None and not (coordinates_valid(latitude, longitude) and elevation == elevation):
+            return None
+        geo = GeoLocation._decoded(version, latitude, longitude, elevation, raw)
+        end += GEO_BLOCK_SIZE
+    body = _new(Publish)
+    _set(body, "topic", topic)
+    _set(body, "payload", data[end:])
+    _set(body, "qos", qos)
+    _set(body, "retain", first & 0x01 == 1)
+    _set(body, "dup", first & 0x08 == 8)
+    _set(body, "packet_id", packet_id)
+    packet = _new(ControlPacket)
+    _set(packet, "body", body)
+    _set(packet, "geolocation", geo)
+    _set(packet, "frame", data)
+    return packet

@@ -249,8 +249,8 @@ def test_criterion_6_geometry_properties():
 
 
 def test_criterion_7_qos2_flow_with_geolocation(broker):
-    """QoS-2 exchange under AttachAll: geo on every client flow packet,
-    >= 4 location-table updates."""
+    """QoS-2 exchange with a location source on both clients: geo on every
+    client flow packet, >= 4 location-table updates."""
     pub_fix = GeoLocation(1, 49.8, -99.9, 400.0)
     sub_fix = GeoLocation(1, 49.9, -100.0, 395.0)
     pub_tap = Tap("127.0.0.1", broker.port)

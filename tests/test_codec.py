@@ -500,3 +500,91 @@ class TestProperties:
                 assert packet.geolocation is not None
             else:
                 assert packet.geolocation is None
+
+
+# ---------------------------------------------------------------------------
+# The straight-line PUBLISH decode against the general path
+# ---------------------------------------------------------------------------
+
+#: Raw little-endian f32 elevations that a float does not carry back
+#: unchanged, or that sit at an edge: -0.0, +inf, -inf, quiet NaNs and a
+#: signalling NaN (which struct writes back quiet, as 01 00 c0 7f).
+ELEVATIONS = (
+    b"\x00\x00\x00\x80", b"\x00\x00\x80\x7f", b"\x00\x00\x80\xff",
+    b"\x00\x00\xc0\x7f", b"\x00\x00\xc0\xff", b"\x01\x00\x80\x7f",
+)
+
+
+@st.composite
+def publish_frames(draw) -> bytes | bytearray:
+    """A PUBLISH or PUBLISHG assembled by hand, valid or not, as bytes or a
+    bytearray."""
+    geo_type, dup, retain = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    qos = draw(st.integers(0, 3))
+    first = (0xF0 if geo_type else 0x30) | dup << 3 | qos << 1 | retain
+    topic = draw(st.one_of(
+        st.text(max_size=12).map(str.encode),  # wildcards, NUL and multi-byte characters among them
+        st.sampled_from(("é/ü/日本", "a/+", "#", "a\x00b", "fleet/🚚")).map(str.encode),
+        st.binary(max_size=6),  # invalid and overlong UTF-8
+    ))
+    topic_length = len(topic) + draw(st.sampled_from((0, 0, 0, 1, 300)))
+    body = struct.pack(">H", topic_length) + topic
+    if qos:
+        packet_id = draw(st.one_of(st.sampled_from((0, 1, 0xFFFF)), st.integers(1, 0xFFFF)))
+        body += struct.pack(">H", packet_id)
+    if geo_type:
+        version = draw(st.sampled_from((1, 1, 1, 0, 2, 255)))
+        coordinate = st.one_of(
+            st.floats(-180, 180), st.sampled_from((-0.0, 91.0, 181.0, float("nan"), float("inf")))
+        )
+        elevation = draw(st.one_of(st.sampled_from(ELEVATIONS), st.binary(min_size=4, max_size=4)))
+        body += struct.pack("<Bdd", version, draw(coordinate), draw(coordinate)) + elevation
+    body += draw(st.binary(max_size=8))
+    size = draw(st.sampled_from((None, 127, 128, 16384)))
+    if size is not None and len(body) < size:
+        body += b"\x00" * (size - len(body))
+    length = varint_oracle(len(body))
+    if len(length) < 4 and draw(st.booleans()):
+        length = length[:-1] + bytes((length[-1] | 0x80, 0))  # not minimal, as 80 00 is for 0
+    frame = bytes((first,)) + length + body
+    cut, extra = draw(st.sampled_from((0, 0, 0, 1, 21))), draw(st.sampled_from((b"", b"", b"\x00")))
+    frame = frame[: len(frame) - cut] + extra
+    return bytearray(frame) if draw(st.booleans()) else frame
+
+
+def decode_outcome(decode, frame):
+    try:
+        return decode(frame)
+    except CodecError as exc:
+        return exc.__class__
+
+
+@settings(max_examples=1500, deadline=None)
+@given(publish_frames())
+def test_the_straight_publish_decode_agrees_with_the_general_path(frame):
+    """decode_packet's straight-line path gives the general path's packet or
+    exception, and keeps a frame only where encoding the packet's fields
+    gives that frame back: a bytes frame with a minimal remaining length
+    and no NaN elevation in a version-1 block."""
+    from mqttg.codec import _decode_frame
+
+    packet, general = decode_outcome(decode_packet, frame), decode_outcome(_decode_frame, frame)
+    if not isinstance(general, ControlPacket):
+        assert packet is general
+        return
+    # The same values (a NaN field is unequal to itself, so its repr decides).
+    assert packet.__class__ is ControlPacket and repr(packet) == repr(general)
+    assert packet == general or "nan" in repr(general)
+    body = packet.body
+    fresh = encode_packet(ControlPacket(
+        Publish(body.topic, body.payload, body.qos, body.retain, body.dup, body.packet_id),
+        packet.geolocation,
+    ))
+    encoded = encode_packet(packet)
+    assert encoded.__class__ is bytes and encoded == fresh
+    geo = packet.geolocation
+    nan = geo is not None and geo.version == 1 and geo.elevation != geo.elevation
+    if frame.__class__ is bytes and fresh == frame and not nan:
+        assert packet.frame is frame
+    else:
+        assert packet.frame is None

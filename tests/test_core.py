@@ -7,8 +7,10 @@ the event rows are read from a StringIO log.
 
 import csv
 import io
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import mqttg.broker
 from mqttg.broker import BrokerState
@@ -214,6 +216,75 @@ def test_fan_out_gives_each_subscriber_its_own_encode(monkeypatch):
     seen = {conn: set(state.sessions[conn].outbound or ()) for conn in subscriptions}
     writes, _ = state.receive("geo1", ControlPacket(Subscribe(2, (TopicFilter("fleet/truck", 2),))), 0.0)
     assert writes[-1] == ("geo1", expected("geo1", 2, None, retain=True))
+
+
+def test_a_qos0_copy_of_a_qos0_publish_is_the_frame_it_came_in():
+    """A QoS 0 publish that is not retained goes to a QoS 0 subscriber that
+    keeps its block choice as the very bytes it was decoded from. Every
+    other copy is encode_packet's bytes of its own packet."""
+    state, _ = make_core()
+    here = GeoLocation(1, 45.0, 7.0, 250.0)
+    connect(state, "p", "pub")
+    for conn, qos in (("plain", 0), ("geo", 0), ("plain1", 1)):
+        connect(state, conn, conn)
+        send(state, conn, Subscribe(1, (TopicFilter("fleet/#", qos),)))
+    state.receive("geo", ControlPacket(Pingreq(), here), 0.0)  # geo-capable
+
+    def relay(publish, geo=None):
+        frame = encode_packet(ControlPacket(publish, geo))
+        packet = decode_packet(frame)
+        writes, _ = state.receive("p", packet, 0.0)
+        return frame, dict(writes)
+
+    def fresh(conn, payload, geo=None, qos=0):
+        pid = max(state.sessions[conn].outbound) if qos else None
+        return encode_packet(ControlPacket(Publish("fleet/truck", payload, qos, packet_id=pid), geo))
+
+    frame, writes = relay(Publish("fleet/truck", b"cargo"))
+    assert writes["plain"] is frame and writes["geo"] is frame
+    assert writes["plain1"] == fresh("plain1", b"cargo")
+
+    frame, writes = relay(Publish("fleet/truck", b"located"), here)
+    assert writes["geo"] is frame
+    assert writes["plain"] == fresh("plain", b"located")  # the block stripped
+    assert writes["plain1"] == fresh("plain1", b"located")
+
+    frame, writes = relay(Publish("fleet/truck", b"kept", retain=True))
+    assert writes["plain"] == writes["geo"] == fresh("plain", b"kept") != frame
+
+    frame, writes = relay(Publish("fleet/truck", b"acked", 1, packet_id=7))
+    assert writes["plain"] == writes["geo"] == fresh("plain", b"acked")
+    assert writes["plain1"] == fresh("plain1", b"acked", qos=1)
+
+    # struct writes a signalling NaN elevation back as a quiet NaN, so this
+    # frame is not what its packet encodes to.
+    block = struct.pack("<Bdd", 1, 45.0, 7.0) + b"\x01\x00\x80\x7f"
+    body = b"\x00\x0bfleet/truck" + block + b"nan"
+    frame = bytes((0xF0, len(body))) + body
+    packet = decode_packet(frame)
+    writes, _ = state.receive("p", packet, 0.0)
+    assert dict(writes)["geo"] == fresh("geo", b"nan", packet.geolocation) != frame
+
+
+def test_deciding_a_large_qos0_publish_copies_its_body_once():
+    """Deciding a 32 MiB QoS 0 PUBLISH for one QoS 0 subscriber allocates
+    at most one body above the frame: the payload's slice. The copy sent is
+    the frame itself, not a second encode."""
+    state, _ = make_core()
+    connect(state, "p", "pub")
+    connect(state, "s", "sub")
+    send(state, "s", Subscribe(1, (TopicFilter("big", 0),)))
+    size = 32 << 20
+    frame = encode_packet(ControlPacket(Publish("big", bytes(size))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        writes, _ = state.receive("p", decode_packet(frame), 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(writes) == 1 and writes[0][1] is frame
+    assert peak < size + (1 << 20)
 
 
 def test_importing_the_broker_does_not_load_the_client():
