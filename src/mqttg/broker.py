@@ -401,8 +401,9 @@ class BrokerState:
     ) -> None:
         """Encode a publish to a connected client and open its QoS flow.
         A client out of packet ids misses this copy. ``source``, a received
-        QoS 0 publish that is not retained, is itself each copy that is QoS
-        0, not retained and keeps its block choice."""
+        QoS 0 publish that is not retained, is itself this copy when the
+        copy keeps its block choice: every copy of it is QoS 0 and not
+        retained."""
         session = self.sessions[client_id]
         if session.owner is None:
             return
@@ -416,7 +417,7 @@ class BrokerState:
             if session.outbound is None:
                 session.outbound = set()
             session.outbound.add(pid)
-        if source is not None and qos == 0 and not retain and geo is source.geolocation:
+        if source is not None and geo is source.geolocation:
             pkt = source
         else:
             pkt = ControlPacket(Publish(topic, payload, qos, retain, packet_id=pid), geo)
@@ -859,8 +860,9 @@ class Broker:
         session released; then flush the event log. A second call, or one
         without start(), only flushes."""
         if self._running:
-            self._running = False
+            # Wake it first: once _running is False, the loop may end and close its end.
             self._wake.send(b"\0")
+            self._running = False
             self._thread.join()
             self._wake.close()
         self.state.events.flush()

@@ -13,10 +13,10 @@ packet identifier leads its variable header, and the codec for the rest
 of its body. The block follows the packet identifier, or opens the body
 when the type has none.
 
-A decoded packet encodes to its own frame: a PUBLISH or PUBLISHG in
-``bytes`` takes a straight path that keeps the frame when encoding the
-fields gives it back (a minimal remaining length, no NaN elevation in a
-version-1 block). Every other frame takes the general path.
+A decoded packet encodes to its own frame: ``decode_packet`` reads a
+PUBLISH or PUBLISHG in one pass and keeps its ``bytes`` when encoding the
+fields gives them back (a minimal remaining length, no NaN elevation in a
+version-1 block), and ``encode_packet`` returns them.
 
 MQTT's own integers are big-endian; the geolocation fields (and the
 radius/latitude/longitude of geo-constrained subscription filters) are
@@ -710,8 +710,6 @@ _BY_BODY = {spec.body: spec for spec in _PACKETS}
 #: reserved 0) and its _Spec (None for 0, PUBLISH and PUBLISHG).
 _TYPES = (None, *PacketType)
 _SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
-#: The type nibbles of PUBLISH and PUBLISHG.
-_PUBLISH_TYPES = (PacketType.PUBLISH.value, PacketType.PUBLISHG.value)
 #: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
 _ID_FRAME = struct.Struct(">BBH")
 #: The acks whose body is only a packet identifier, with or without the
@@ -836,26 +834,17 @@ def decode_packet(data: bytes) -> ControlPacket:
             _set(packet, "geolocation", _geolocation_at(data, 4) if n > 4 else None)
             _set(packet, "frame", None)
             return packet
-    if n > 4 and data[0] >> 4 in _PUBLISH_TYPES and data.__class__ is bytes:
-        packet = _publish_frame(data)
-        if packet is not None:
-            return packet
-    return _decode_frame(data)
-
-
-def _decode_frame(data: bytes) -> ControlPacket:
-    """decode_packet's general path, for any frame."""
     first, remaining, offset = _read_fixed_header(data)
     if len(data) - offset != remaining:
         raise MalformedPacket(
             f"remaining length {remaining} does not match {len(data) - offset} body bytes"
         )
-    reader = _Reader(data, offset)
     type_code, flags = first >> 4, first & 0x0F
     spec = _SPECS[type_code]
     if spec is None:
-        return _decode_publish(type_code == PacketType.PUBLISHG, flags, reader)
+        return _decode_publish(data, first, offset)
 
+    reader = _Reader(data, offset)
     if flags != spec.flags and not (spec.geo and flags == spec.flags | GEO_FLAG):
         raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {spec.ptype.name}")
     head = (_read_packet_id(reader, spec.ptype.name),) if spec.packet_id else ()
@@ -865,61 +854,46 @@ def _decode_frame(data: bytes) -> ControlPacket:
     return ControlPacket(body, geo)
 
 
-def _decode_publish(geo_type: bool, flags: int, reader: _Reader) -> ControlPacket:
-    dup = bool(flags & 0x08)
-    qos = (flags >> 1) & 0x03
-    retain = bool(flags & 0x01)
+def _decode_publish(data: bytes, first: int, pos: int) -> ControlPacket:
+    """The PUBLISH or PUBLISHG whose body starts at ``data[pos]``, read in
+    one pass. It keeps ``data`` as its frame when encoding its fields gives
+    those bytes back: ``data`` is ``bytes``, its remaining length is minimal
+    (not ``80 00``) and a version-1 block's elevation is not a NaN, which
+    struct writes back quiet (``01 00 80 7f`` as ``01 00 c0 7f``)."""
+    n, qos = len(data), first >> 1 & 0x03
     if qos == 3:
         raise ProtocolViolation("publish QoS 3 is invalid")
-    if qos == 0 and dup:
+    if first & 0x08 and not qos:
         raise ProtocolViolation("DUP set on a QoS 0 publish")
-    topic = reader.string()
-    if not topic_name_valid(topic):
-        raise ProtocolViolation(f"invalid publish topic {topic!r}")
-    packet_id = _read_packet_id(reader, "publish with QoS > 0") if qos > 0 else None
-    geo = reader.geolocation() if geo_type else None
-    body = Publish(topic, reader.rest(), qos, retain, dup, packet_id)
-    return ControlPacket(body, geo)
-
-
-def _publish_frame(data: bytes) -> ControlPacket | None:
-    """decode_packet's straight path: the PUBLISH or PUBLISHG in ``data``,
-    five bytes or more, keeping ``data`` as its frame; None for a frame the
-    general path rejects or encode_packet would not give back."""
-    n, first = len(data), data[0]
-    qos, remaining, pos = first >> 1 & 0x03, data[1], 2
-    if remaining > 0x7F:
-        try:
-            remaining, pos = decode_remaining_length(data, 1)
-        except MalformedPacket:
-            return None
-    # A last length byte of 0, as in 80 00, is not minimal: encode_packet writes less.
-    if qos == 3 or not qos and first & 0x08 or n - pos != remaining or not data[pos - 1]:
-        return None
-    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+    end = pos + 2 + (data[pos] << 8 | data[pos + 1]) if n - pos >= 2 else n + 1
+    if end > n:
+        raise MalformedPacket("packet truncated in the publish topic")
     try:
         topic = data[pos + 2 : end].decode()
-    except UnicodeDecodeError:
-        return None
-    if end > n or not topic_name_valid(topic):
-        return None
+    except UnicodeDecodeError as exc:
+        raise MalformedPacket(f"invalid UTF-8 in string: {exc}") from None
+    if not topic_name_valid(topic):
+        if "\x00" in topic:
+            raise MalformedPacket("string contains U+0000")
+        raise ProtocolViolation(f"invalid publish topic {topic!r}")
     packet_id = None
     if qos:
-        packet_id = data[end] << 8 | data[end + 1] if end + 2 <= n else 0
+        if end + 2 > n:
+            raise MalformedPacket("packet truncated in the publish packet identifier")
+        packet_id = data[end] << 8 | data[end + 1]
         if not packet_id:
-            return None
+            raise ProtocolViolation("publish with QoS > 0 packet identifier must be non-zero")
         end += 2
+    # data[pos - 1], the last remaining-length byte, is 0 only in a longer form than needed.
+    frame = data if data.__class__ is bytes and data[pos - 1] else None
     geo = None
     if first >> 4 == PacketType.PUBLISHG:
         if end + GEO_BLOCK_SIZE > n:
-            return None
-        version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data, end)
-        raw = data[end : end + GEO_BLOCK_SIZE] if version != 1 else None
-        # struct packs a signalling NaN elevation back as a quiet one.
-        if raw is None and not (coordinates_valid(latitude, longitude) and elevation == elevation):
-            return None
-        geo = GeoLocation._decoded(version, latitude, longitude, elevation, raw)
+            raise MalformedPacket("packet truncated in the geolocation block")
+        geo = _geolocation_at(data, end)
         end += GEO_BLOCK_SIZE
+        if geo.version == 1 and geo.elevation != geo.elevation:
+            frame = None
     body = _new(Publish)
     _set(body, "topic", topic)
     _set(body, "payload", data[end:])
@@ -930,5 +904,5 @@ def _publish_frame(data: bytes) -> ControlPacket | None:
     packet = _new(ControlPacket)
     _set(packet, "body", body)
     _set(packet, "geolocation", geo)
-    _set(packet, "frame", data)
+    _set(packet, "frame", frame)
     return packet

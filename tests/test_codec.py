@@ -8,7 +8,7 @@ import struct
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqttg.codec import (
@@ -503,7 +503,7 @@ class TestProperties:
 
 
 # ---------------------------------------------------------------------------
-# The straight-line PUBLISH decode against the general path
+# A PUBLISH decoded against the fields it was assembled from
 # ---------------------------------------------------------------------------
 
 #: Raw little-endian f32 elevations that a float does not carry back
@@ -516,75 +516,128 @@ ELEVATIONS = (
 
 
 @st.composite
-def publish_frames(draw) -> bytes | bytearray:
-    """A PUBLISH or PUBLISHG assembled by hand, valid or not, as bytes or a
-    bytearray."""
-    geo_type, dup, retain = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
-    qos = draw(st.integers(0, 3))
+def publish_frames(draw) -> tuple[bytes, object, bool]:
+    """A PUBLISH or PUBLISHG assembled by hand from drawn fields, valid or
+    not, with what decode_packet must make of it: the exception class of
+    its first fault, in the order the decoder reads, or the packet of those
+    fields; and whether that packet keeps the frame."""
+    geo_type, retain = draw(st.booleans()), draw(st.booleans())
+    dup, qos = draw(st.sampled_from((False, False, True))), draw(st.sampled_from((0, 0, 1, 2, 3)))
     first = (0xF0 if geo_type else 0x30) | dup << 3 | qos << 1 | retain
+    names = st.characters(blacklist_characters="\x00+#", blacklist_categories=("Cs",))
     topic = draw(st.one_of(
+        st.text(names, min_size=1, max_size=12).map(str.encode),
+        st.text(names, min_size=1, max_size=12).map(str.encode),
         st.text(max_size=12).map(str.encode),  # wildcards, NUL and multi-byte characters among them
-        st.sampled_from(("é/ü/日本", "a/+", "#", "a\x00b", "fleet/🚚")).map(str.encode),
+        st.sampled_from(("é/ü/日本", "a/+", "#", "a\x00b", "fleet/🚚", "")).map(str.encode),
         st.binary(max_size=6),  # invalid and overlong UTF-8
     ))
-    topic_length = len(topic) + draw(st.sampled_from((0, 0, 0, 1, 300)))
-    body = struct.pack(">H", topic_length) + topic
-    if qos:
-        packet_id = draw(st.one_of(st.sampled_from((0, 1, 0xFFFF)), st.integers(1, 0xFFFF)))
-        body += struct.pack(">H", packet_id)
+    packet_id = draw(st.one_of(st.sampled_from((0, 1, 0xFFFF)), st.integers(1, 0xFFFF)))
+    head = struct.pack(">H", len(topic)) + topic + (struct.pack(">H", packet_id) if qos else b"")
+    geo, block = None, b""
     if geo_type:
         version = draw(st.sampled_from((1, 1, 1, 0, 2, 255)))
-        coordinate = st.one_of(
-            st.floats(-180, 180), st.sampled_from((-0.0, 91.0, 181.0, float("nan"), float("inf")))
-        )
+        edges = st.sampled_from((-0.0, 91.0, 181.0, float("nan"), float("inf")))
+        latitude = draw(st.one_of(st.floats(-90, 90), st.floats(-90, 90), edges))
+        longitude = draw(st.one_of(st.floats(-180, 180), st.floats(-180, 180), edges))
         elevation = draw(st.one_of(st.sampled_from(ELEVATIONS), st.binary(min_size=4, max_size=4)))
-        body += struct.pack("<Bdd", version, draw(coordinate), draw(coordinate)) + elevation
-    body += draw(st.binary(max_size=8))
+        block = struct.pack("<Bdd", version, latitude, longitude) + elevation
+        raw = block if version != 1 else None
+        geo = GeoLocation(version, latitude, longitude, struct.unpack("<f", elevation)[0], raw)
+    payload = draw(st.binary(max_size=8))
     size = draw(st.sampled_from((None, 127, 128, 16384)))
-    if size is not None and len(body) < size:
-        body += b"\x00" * (size - len(body))
+    if size is not None:
+        payload += bytes(max(0, size - len(head) - len(block) - len(payload)))
+    body = head + block + payload
+    # A body that stops partway through its topic, packet identifier or block.
+    stop = None
+    if draw(st.integers(0, 4)) == 0:
+        stop = draw(st.integers(0, len(head) + len(block) - 1))
+        body = body[:stop]
     length = varint_oracle(len(body))
-    if len(length) < 4 and draw(st.booleans()):
-        length = length[:-1] + bytes((length[-1] | 0x80, 0))  # not minimal, as 80 00 is for 0
+    minimal = len(length) == 4 or draw(st.booleans())
+    if not minimal:
+        length = length[:-1] + bytes((length[-1] | 0x80, 0))  # as 80 00 is for 0
     frame = bytes((first,)) + length + body
-    cut, extra = draw(st.sampled_from((0, 0, 0, 1, 21))), draw(st.sampled_from((b"", b"", b"\x00")))
-    frame = frame[: len(frame) - cut] + extra
-    return bytearray(frame) if draw(st.booleans()) else frame
+    # A frame whose remaining length is not its body's: cut short, or one byte over.
+    fault = draw(st.sampled_from((None,) * 9 + (1, 21, -1)))
+    if fault is not None:
+        frame = frame[:-fault] if fault > 0 else frame + b"\x00"
+        return frame, MalformedPacket, False
+
+    def fault_at() -> type | None:
+        if qos == 3 or dup and not qos:
+            return ProtocolViolation
+        if stop is not None and stop < 2 + len(topic):
+            return MalformedPacket
+        try:
+            text = topic.decode()
+        except UnicodeDecodeError:
+            return MalformedPacket
+        if "\x00" in text:
+            return MalformedPacket
+        if not text or "+" in text or "#" in text:
+            return ProtocolViolation
+        if stop is not None and qos and stop < len(head):
+            return MalformedPacket
+        if qos and not packet_id:
+            return ProtocolViolation
+        if stop is not None:
+            return MalformedPacket
+        if geo is not None and version == 1:
+            if not (-90 <= latitude <= 90 and -180 <= longitude <= 180):
+                return InvalidCoordinates
+        return None
+
+    fault = fault_at()
+    if fault is not None:
+        return frame, fault, False
+    publish = Publish(topic.decode(), payload, qos, retain, dup, packet_id if qos else None)
+    nan = geo is not None and version == 1 and geo.elevation != geo.elevation
+    return frame, ControlPacket(publish, geo), minimal and not nan
 
 
-def decode_outcome(decode, frame):
-    try:
-        return decode(frame)
-    except CodecError as exc:
-        return exc.__class__
+def located(elevation: bytes) -> tuple[bytes, ControlPacket, bool]:
+    """The case of a PUBLISHG to "a" whose version-1 block has this raw
+    elevation, a NaN: the packet does not keep its frame."""
+    frame = bytes((0xF0, 24)) + b"\x00\x01a" + struct.pack("<Bdd", 1, 45.0, 7.0) + elevation
+    geo = GeoLocation(1, 45.0, 7.0, struct.unpack("<f", elevation)[0])
+    return frame, ControlPacket(Publish("a"), geo), False
 
 
 @settings(max_examples=1500, deadline=None)
-@given(publish_frames())
-def test_the_straight_publish_decode_agrees_with_the_general_path(frame):
-    """decode_packet's straight-line path gives the general path's packet or
-    exception, and keeps a frame only where encoding the packet's fields
-    gives that frame back: a bytes frame with a minimal remaining length
-    and no NaN elevation in a version-1 block."""
-    from mqttg.codec import _decode_frame
-
-    packet, general = decode_outcome(decode_packet, frame), decode_outcome(_decode_frame, frame)
-    if not isinstance(general, ControlPacket):
-        assert packet is general
+@given(publish_frames(), st.booleans())
+@example((b"\x30\x03\x00\x01a", ControlPacket(Publish("a")), True), True)
+@example((b"\x30\x83\x00\x00\x01a", ControlPacket(Publish("a")), False), False)
+@example(located(b"\x00\x00\xc0\x7f"), False)
+@example(located(b"\x01\x00\x80\x7f"), False)
+def test_a_publish_decodes_to_the_packet_of_its_fields(case, as_bytearray):
+    """decode_packet gives a hand-assembled PUBLISH or PUBLISHG the packet
+    of its fields, or the exception class of its first fault. It keeps the
+    frame exactly where encoding those fields gives it back: a ``bytes``
+    frame with a minimal remaining length and no NaN elevation in a
+    version-1 block."""
+    frame, expected, keeps = case
+    data = bytearray(frame) if as_bytearray else frame
+    try:
+        packet = decode_packet(data)
+    except CodecError as exc:
+        assert exc.__class__ is expected
         return
+    assert isinstance(expected, ControlPacket)
+    if as_bytearray:  # the payload is sliced from the frame, so it is a bytearray too
+        body = expected.body
+        payload = bytearray(body.payload)
+        expected = ControlPacket(
+            Publish(body.topic, payload, body.qos, body.retain, body.dup, body.packet_id),
+            expected.geolocation,
+        )
     # The same values (a NaN field is unequal to itself, so its repr decides).
-    assert packet.__class__ is ControlPacket and repr(packet) == repr(general)
-    assert packet == general or "nan" in repr(general)
-    body = packet.body
-    fresh = encode_packet(ControlPacket(
-        Publish(body.topic, body.payload, body.qos, body.retain, body.dup, body.packet_id),
-        packet.geolocation,
-    ))
+    assert packet.__class__ is ControlPacket and repr(packet) == repr(expected)
+    assert packet == expected or "nan" in repr(expected)
     encoded = encode_packet(packet)
-    assert encoded.__class__ is bytes and encoded == fresh
-    geo = packet.geolocation
-    nan = geo is not None and geo.version == 1 and geo.elevation != geo.elevation
-    if frame.__class__ is bytes and fresh == frame and not nan:
-        assert packet.frame is frame
+    assert encoded.__class__ is bytes and encoded == encode_packet(expected)
+    if keeps and not as_bytearray:
+        assert packet.frame is frame and encoded == frame
     else:
         assert packet.frame is None

@@ -850,6 +850,28 @@ class TestStop:
                 client.disconnect()
 
 
+    def test_stop_wakes_the_loop_before_the_loop_can_end(self):
+        """A loop that ends closes its end of the wake pair, so stop() must
+        send the wake byte while the loop still runs. Here the send waits
+        for the loop to end, if it would end by itself within two sweeps."""
+
+        class LateWake:
+            def __init__(self, sock, thread):
+                self.sock, self.thread = sock, thread
+
+            def send(self, data):
+                self.thread.join(2 * broker_module.SWEEP_S)
+                return self.sock.send(data)
+
+            def close(self):
+                self.sock.close()
+
+        broker = self.started()
+        broker._wake = LateWake(broker._wake, broker._thread)
+        broker.stop()  # the send raised BrokenPipeError when it came after the flag
+        assert not broker._thread.is_alive()
+
+
 class TestOneThread:
     """The broker is one thread running one loop."""
 
