@@ -67,7 +67,6 @@ class ClientConfig:
     port: int = 1883
     keep_alive: int = 60
     location_source: LocationSource | None = None
-    clean_session: bool = True
     will: Will | None = None
     connect_timeout: float = 10.0
 
@@ -132,12 +131,8 @@ class MqttgClient:
         # one reader for the CONNACK and the reader loop, so that bytes
         # that arrive with the CONNACK stay in it
         self._reader = SocketBuffer(sock)
-        body = Connect(
-            client_id=cfg.client_id,
-            clean_session=cfg.clean_session,
-            keep_alive=cfg.keep_alive,
-            will=cfg.will,
-        )
+        # The broker keeps no session between connections, so every one is clean.
+        body = Connect(client_id=cfg.client_id, keep_alive=cfg.keep_alive, will=cfg.will)
         try:
             self._send(ControlPacket(body))
             try:

@@ -13,10 +13,18 @@ packet identifier leads its variable header, and the codec for the rest
 of its body. The block follows the packet identifier, or opens the body
 when the type has none.
 
-A decoded packet encodes to its own frame: ``decode_packet`` reads a
-PUBLISH or PUBLISHG in one pass and keeps its ``bytes`` when encoding the
-fields gives them back (a minimal remaining length, no NaN elevation in a
-version-1 block), and ``encode_packet`` returns them.
+``decode_packet`` reads each packet on one path, chosen by its type:
+PUBLISH and PUBLISHG in one pass; a fixed layout (the four acks, UNSUBACK,
+PINGREQ, PINGRESP, DISCONNECT), whose packet identifier and block are its
+whole body, by its ``_PACKETS`` entry alone; and a variable body (CONNECT,
+CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) with its entry's decoder, which
+reads the rest through ``_Reader``. One helper, ``_id_and_block``, reads
+the packet identifier and block on all three.
+
+A decoded PUBLISH or PUBLISHG encodes to its own frame: it keeps its
+``bytes`` when encoding the fields gives them back (a minimal remaining
+length, no NaN elevation in a version-1 block), and ``encode_packet``
+returns them.
 
 MQTT's own integers are big-endian; the geolocation fields (and the
 radius/latitude/longitude of geo-constrained subscription filters) are
@@ -343,17 +351,12 @@ def encode_geolocation(geo: GeoLocation) -> bytes:
     return _GEO_BLOCK.pack(geo.version, geo.latitude, geo.longitude, geo.elevation)
 
 
-def decode_geolocation(data: bytes) -> GeoLocation:
-    """Parse the first 21 bytes of ``data`` as a geolocation block."""
-    if len(data) < GEO_BLOCK_SIZE:
+def decode_geolocation(data: bytes, pos: int = 0) -> GeoLocation:
+    """Parse the 21 bytes at ``data[pos:]`` as a geolocation block."""
+    if len(data) - pos < GEO_BLOCK_SIZE:
         raise MalformedPacket(
-            f"geolocation block truncated: {len(data)} of {GEO_BLOCK_SIZE} bytes"
+            f"geolocation block truncated: {len(data) - pos} of {GEO_BLOCK_SIZE} bytes"
         )
-    return _geolocation_at(data, 0)
-
-
-def _geolocation_at(data: bytes, pos: int) -> GeoLocation:
-    """The block at ``data[pos:]``, which holds at least 21 bytes."""
     version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data, pos)
     if version == 1:
         if not coordinates_valid(latitude, longitude):
@@ -402,7 +405,8 @@ def decode_remaining_length(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 class _Reader:
     """Checked reads from ``data``, starting at ``pos``, with no copy of
-    the body: fixed-size fields are unpacked in place."""
+    the body: fixed-size fields are unpacked in place. Only the variable
+    bodies (CONNECT, CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) need one."""
 
     __slots__ = ("data", "pos")
 
@@ -452,13 +456,6 @@ class _Reader:
     def binary(self) -> bytes:
         return self.take(self.u16())
 
-    def geolocation(self) -> GeoLocation:
-        return _geolocation_at(self.data, self._need(GEO_BLOCK_SIZE))
-
-    def expect_end(self, what: str) -> None:
-        if self.remaining():
-            raise MalformedPacket(f"{self.remaining()} unexpected trailing bytes in {what}")
-
 
 def _string(text: str) -> bytes:
     raw = text.encode("utf-8")
@@ -491,25 +488,10 @@ def _packet_id(value: int | None, what: str) -> bytes:
     return _U16.pack(_checked_packet_id(value, what))
 
 
-def _read_packet_id(reader: _Reader, what: str) -> int:
-    pid = reader.u16()
-    if pid == 0:
-        raise ProtocolViolation(f"{what} packet identifier must be non-zero")
-    return pid
-
-
 # ---------------------------------------------------------------------------
-# The rest of each body: after the packet identifier and geolocation block.
-# Encoders return its bytes; decoders return the body's remaining fields.
+# The rest of a variable body: after the packet identifier and geolocation
+# block. Encoders return its bytes; decoders return the body's remaining fields.
 # ---------------------------------------------------------------------------
-
-
-def _encode_nothing(body: Body) -> bytes:
-    return b""
-
-
-def _decode_nothing(reader: _Reader) -> tuple:
-    return ()
 
 
 def _encode_connect(body: Connect) -> bytes:
@@ -685,25 +667,27 @@ class _Spec(NamedTuple):
     flags: int  # mandated fixed-header flag nibble, without GEO_FLAG
     geo: bool  # may carry the geolocation block
     packet_id: bool  # a packet identifier leads the variable header
-    encode: Callable[[Body], bytes]
-    decode: Callable[[_Reader], tuple]
+    # The rest of a variable body; both None for a fixed layout, whose
+    # packet identifier and block are all of its body.
+    encode: Callable[[Body], bytes] | None
+    decode: Callable[[_Reader], tuple] | None
 
 
 # PUBLISH and PUBLISHG are not here: their flags carry DUP, QoS and RETAIN.
 _PACKETS = (
     _Spec(PacketType.CONNECT, Connect, 0x0, False, False, _encode_connect, _decode_connect),
     _Spec(PacketType.CONNACK, Connack, 0x0, False, False, _encode_connack, _decode_connack),
-    _Spec(PacketType.PUBACK, PubAck, 0x0, True, True, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.PUBREC, PubRec, 0x0, True, True, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.PUBREL, PubRel, 0x2, True, True, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.PUBCOMP, PubComp, 0x0, True, True, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.PUBACK, PubAck, 0x0, True, True, None, None),
+    _Spec(PacketType.PUBREC, PubRec, 0x0, True, True, None, None),
+    _Spec(PacketType.PUBREL, PubRel, 0x2, True, True, None, None),
+    _Spec(PacketType.PUBCOMP, PubComp, 0x0, True, True, None, None),
     _Spec(PacketType.SUBSCRIBE, Subscribe, 0x2, True, True, _encode_filters, _decode_filters),
     _Spec(PacketType.SUBACK, Suback, 0x0, False, True, _encode_return_codes, _decode_return_codes),
     _Spec(PacketType.UNSUBSCRIBE, Unsubscribe, 0x2, True, True, _encode_topics, _decode_topics),
-    _Spec(PacketType.UNSUBACK, Unsuback, 0x0, False, True, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.PINGREQ, Pingreq, 0x0, True, False, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.PINGRESP, Pingresp, 0x0, False, False, _encode_nothing, _decode_nothing),
-    _Spec(PacketType.DISCONNECT, Disconnect, 0x0, True, False, _encode_nothing, _decode_nothing),
+    _Spec(PacketType.UNSUBACK, Unsuback, 0x0, False, True, None, None),
+    _Spec(PacketType.PINGREQ, Pingreq, 0x0, True, False, None, None),
+    _Spec(PacketType.PINGRESP, Pingresp, 0x0, False, False, None, None),
+    _Spec(PacketType.DISCONNECT, Disconnect, 0x0, True, False, None, None),
 )
 _BY_BODY = {spec.body: spec for spec in _PACKETS}
 #: By the type nibble of the first byte: its PacketType (None for the
@@ -712,14 +696,6 @@ _TYPES = (None, *PacketType)
 _SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
 #: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
 _ID_FRAME = struct.Struct(">BBH")
-#: The acks whose body is only a packet identifier, with or without the
-#: block, by their first two bytes (first byte << 8 | remaining length).
-_ACK_BODIES = {
-    (spec.ptype << 4 | spec.flags | flag) << 8 | 2 + size: spec.body
-    for spec in _PACKETS
-    if spec.geo and spec.packet_id and spec.decode is _decode_nothing
-    for flag, size in ((0, 0), (GEO_FLAG, GEO_BLOCK_SIZE))
-}
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +717,7 @@ def encode_packet(packet: ControlPacket) -> bytes:
         return _encode_publish(body, geo)
     spec = _BY_BODY[type(body)]
     first = (spec.ptype << 4) | spec.flags
-    if geo is None and spec.encode is _encode_nothing:
+    if geo is None and spec.encode is None:
         # The fixed-size replies: an identifier or nothing at all.
         if not spec.packet_id:
             return bytes((first, 0))
@@ -754,7 +730,8 @@ def encode_packet(packet: ControlPacket) -> bytes:
         rest = encode_geolocation(geo)
     if spec.packet_id:
         rest = _packet_id(body.packet_id, spec.ptype.name) + rest
-    rest += spec.encode(body)
+    if spec.encode is not None:
+        rest += spec.encode(body)
     return _fixed_header(first, len(rest)) + rest
 
 
@@ -815,43 +792,68 @@ def decode_fixed_header(data: bytes) -> tuple[FixedHeader, int]:
 def decode_packet(data: bytes) -> ControlPacket:
     """Parse exactly one control packet from ``data``.
 
-    Inverse of encode_packet. Raises MalformedPacket on truncation or
-    trailing bytes, ProtocolViolation on reserved-flag or packet-rule
-    breaches, InvalidCoordinates on out-of-range version-1 coordinates.
-    """
-    n = len(data)
-    if n == 4 or n == 4 + GEO_BLOCK_SIZE:
-        # A PUBACK, PUBREC, PUBREL or PUBCOMP with exact first two bytes
-        # and a non-zero packet id; every other frame takes the general
-        # path below, and raises there.
-        cls = _ACK_BODIES.get(data[0] << 8 | data[1])
-        pid = data[2] << 8 | data[3]
-        if cls is not None and data[1] == n - 2 and pid:
-            body = _new(cls)
-            _set(body, "packet_id", pid)
-            packet = _new(ControlPacket)
-            _set(packet, "body", body)
-            _set(packet, "geolocation", _geolocation_at(data, 4) if n > 4 else None)
-            _set(packet, "frame", None)
-            return packet
-    first, remaining, offset = _read_fixed_header(data)
-    if len(data) - offset != remaining:
-        raise MalformedPacket(
-            f"remaining length {remaining} does not match {len(data) - offset} body bytes"
-        )
-    type_code, flags = first >> 4, first & 0x0F
-    spec = _SPECS[type_code]
-    if spec is None:
-        return _decode_publish(data, first, offset)
+    Inverse of encode_packet. Raises, for the first fault in reading order,
+    MalformedPacket on truncation or trailing bytes, ProtocolViolation on
+    reserved-flag or packet-rule breaches, InvalidCoordinates on
+    out-of-range version-1 coordinates.
 
-    reader = _Reader(data, offset)
+    After the fixed header each packet takes one of three paths, chosen by
+    its type nibble: PUBLISH and PUBLISHG go to ``_decode_publish``; a
+    fixed layout (PUBACK, PUBREC, PUBREL, PUBCOMP, UNSUBACK, PINGREQ,
+    PINGRESP, DISCONNECT) is only its packet identifier and block; a
+    variable body (CONNECT, CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) reads
+    the rest with its ``_Spec.decode``. ``_id_and_block`` reads the packet
+    identifier and block on each path.
+    """
+    first, remaining, pos = _read_fixed_header(data)
+    n = len(data)
+    if n - pos != remaining:
+        raise MalformedPacket(f"remaining length {remaining} does not match {n - pos} body bytes")
+    spec = _SPECS[first >> 4]
+    if spec is None:
+        return _decode_publish(data, first, pos)
+    flags = first & 0x0F
     if flags != spec.flags and not (spec.geo and flags == spec.flags | GEO_FLAG):
         raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {spec.ptype.name}")
-    head = (_read_packet_id(reader, spec.ptype.name),) if spec.packet_id else ()
-    geo = reader.geolocation() if flags & GEO_FLAG else None
-    body = spec.body(*head, *spec.decode(reader))
-    reader.expect_end(spec.ptype.name)
-    return ControlPacket(body, geo)
+    packet_id, geo, pos = _id_and_block(data, pos, spec.packet_id, flags & GEO_FLAG, first >> 4)
+    if spec.decode is None:
+        body = _new(spec.body)
+        if spec.packet_id:
+            _set(body, "packet_id", packet_id)
+    else:
+        reader = _Reader(data, pos)
+        fields = spec.decode(reader)
+        pos = reader.pos
+        body = spec.body(packet_id, *fields) if spec.packet_id else spec.body(*fields)
+    if pos != n:
+        raise MalformedPacket(f"{n - pos} unexpected trailing bytes in {spec.ptype.name}")
+    packet = _new(ControlPacket)
+    _set(packet, "body", body)
+    _set(packet, "geolocation", geo)
+    _set(packet, "frame", None)
+    return packet
+
+
+def _id_and_block(
+    data: bytes, pos: int, has_id: bool, has_block: bool, type_code: int
+) -> tuple[int | None, GeoLocation | None, int]:
+    """The packet identifier and the geolocation block that start at
+    ``data[pos]``, each None where the packet has none, and the position
+    after them."""
+    packet_id = geo = None
+    if has_id:
+        if len(data) - pos < 2:
+            raise MalformedPacket(
+                f"packet truncated in the {_TYPES[type_code].name} packet identifier"
+            )
+        packet_id = data[pos] << 8 | data[pos + 1]
+        if not packet_id:
+            raise ProtocolViolation(f"{_TYPES[type_code].name} packet identifier must be non-zero")
+        pos += 2
+    if has_block:
+        geo = decode_geolocation(data, pos)
+        pos += GEO_BLOCK_SIZE
+    return packet_id, geo, pos
 
 
 def _decode_publish(data: bytes, first: int, pos: int) -> ControlPacket:
@@ -876,23 +878,13 @@ def _decode_publish(data: bytes, first: int, pos: int) -> ControlPacket:
         if "\x00" in topic:
             raise MalformedPacket("string contains U+0000")
         raise ProtocolViolation(f"invalid publish topic {topic!r}")
-    packet_id = None
-    if qos:
-        if end + 2 > n:
-            raise MalformedPacket("packet truncated in the publish packet identifier")
-        packet_id = data[end] << 8 | data[end + 1]
-        if not packet_id:
-            raise ProtocolViolation("publish with QoS > 0 packet identifier must be non-zero")
-        end += 2
     # data[pos - 1], the last remaining-length byte, is 0 only in a longer form than needed.
     frame = data if data.__class__ is bytes and data[pos - 1] else None
-    geo = None
-    if first >> 4 == PacketType.PUBLISHG:
-        if end + GEO_BLOCK_SIZE > n:
-            raise MalformedPacket("packet truncated in the geolocation block")
-        geo = _geolocation_at(data, end)
-        end += GEO_BLOCK_SIZE
-        if geo.version == 1 and geo.elevation != geo.elevation:
+    packet_id = geo = None
+    located = first >> 4 == PacketType.PUBLISHG
+    if qos or located:
+        packet_id, geo, end = _id_and_block(data, end, qos, located, first >> 4)
+        if located and geo.version == 1 and geo.elevation != geo.elevation:
             frame = None
     body = _new(Publish)
     _set(body, "topic", topic)

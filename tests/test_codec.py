@@ -24,10 +24,13 @@ from mqttg.codec import (
     Pingreq,
     Pingresp,
     PubAck,
+    PubComp,
+    PubRec,
     PubRel,
     Publish,
     Subscribe,
     TopicFilter,
+    Unsuback,
     Unsubscribe,
     Will,
     decode_geolocation,
@@ -471,12 +474,27 @@ class TestProperties:
 
     @settings(max_examples=500, deadline=None)
     @given(st.binary(min_size=0, max_size=64))
+    @example(b"\xc0\x80\x00")
+    @example(b"\x30\x83\x00\x00\x01a")
+    @example(b"\x44\x17\x00\x07" + struct.pack("<Bdd", 1, 0.0, 0.0) + b"\x01\x00\x80\x7f")
     def test_decoder_totality_random_bytes(self, data):
+        """Bytes that decode re-encode to a fixed point of decode and
+        encode, and to themselves unless they spell the remaining length in
+        more bytes than needed or carry a version-1 block whose elevation is
+        a NaN (struct writes a signalling NaN back quiet)."""
         try:
             packet = decode_packet(data)
         except CodecError:
             return
-        assert encode_packet(packet) == data
+        encoded = encode_packet(packet)
+        assert encode_packet(decode_packet(encoded)) == encoded
+        length_end = next(i for i in range(1, 5) if data[i] < 0x80)
+        # A varint is longer than needed exactly when its last byte is 0.
+        minimal = length_end == 1 or data[length_end] != 0
+        geo = packet.geolocation
+        nan = geo is not None and geo.version == 1 and geo.elevation != geo.elevation
+        if minimal and not nan:
+            assert encoded == data
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**48), st.binary(min_size=1, max_size=8))
@@ -641,3 +659,101 @@ def test_a_publish_decodes_to_the_packet_of_its_fields(case, as_bytearray):
         assert packet.frame is frame and encoded == frame
     else:
         assert packet.frame is None
+
+
+# ---------------------------------------------------------------------------
+# A fixed-layout packet decoded against the fields it was assembled from
+# ---------------------------------------------------------------------------
+
+#: The types whose body is only a packet identifier and the block: type
+#: nibble -> (body class, mandated flag nibble, may carry the block, has an id),
+#: from MQTT 3.1.1 section 2.2.2 and the README's geo-capable types.
+FIXED_LAYOUTS = {
+    0x4: (PubAck, 0x0, True, True),
+    0x5: (PubRec, 0x0, True, True),
+    0x6: (PubRel, 0x2, True, True),
+    0x7: (PubComp, 0x0, True, True),
+    0xB: (Unsuback, 0x0, False, True),
+    0xC: (Pingreq, 0x0, True, False),
+    0xD: (Pingresp, 0x0, False, False),
+    0xE: (Disconnect, 0x0, True, False),
+}
+
+
+@st.composite
+def fixed_layout_frames(draw) -> tuple[bytes, object]:
+    """A PUBACK, PUBREC, PUBREL, PUBCOMP, UNSUBACK, PINGREQ, PINGRESP or
+    DISCONNECT assembled by hand from drawn fields, valid or not, with what
+    decode_packet must make of it: the exception class of its first fault,
+    in the order the decoder reads, or the packet of those fields."""
+    type_code = draw(st.sampled_from(sorted(FIXED_LAYOUTS)))
+    cls, mandated, geo_capable, has_id = FIXED_LAYOUTS[type_code]
+    # The mandated nibble, with the geo flag (wrong where the type cannot
+    # carry the block), or any nibble at all.
+    flags = draw(st.one_of(st.sampled_from((mandated, mandated | 0x04)), st.integers(0, 15)))
+    packet_id = draw(st.one_of(st.sampled_from((0, 1, 0xFFFF)), st.integers(1, 0xFFFF)))
+    head = struct.pack(">H", packet_id) if has_id else b""
+    geo, block = None, b""
+    if flags & 0x04:
+        version = draw(st.sampled_from((1, 1, 1, 0, 2, 255)))
+        edges = st.sampled_from((-0.0, 91.0, 181.0, float("nan"), float("inf")))
+        latitude = draw(st.one_of(st.floats(-90, 90), st.floats(-90, 90), edges))
+        longitude = draw(st.one_of(st.floats(-180, 180), st.floats(-180, 180), edges))
+        elevation = draw(st.one_of(st.sampled_from(ELEVATIONS), st.binary(min_size=4, max_size=4)))
+        block = struct.pack("<Bdd", version, latitude, longitude) + elevation
+        raw = block if version != 1 else None
+        geo = GeoLocation(version, latitude, longitude, struct.unpack("<f", elevation)[0], raw)
+    body = head + block
+    # A body that stops partway through its packet identifier or block, or
+    # one with bytes after them.
+    stop, trailing = None, b""
+    cut = draw(st.integers(0, 4))
+    if cut == 0 and body:
+        stop = draw(st.integers(0, len(body) - 1))
+        body = body[:stop]
+    elif cut == 1:
+        trailing = draw(st.binary(min_size=1, max_size=3))
+        body += trailing
+    length = varint_oracle(len(body))
+    if draw(st.booleans()):
+        length = length[:-1] + bytes((length[-1] | 0x80, 0))  # as 80 00 is for 0
+    frame = bytes((type_code << 4 | flags,)) + length + body
+
+    def fault_at() -> type | None:
+        if flags not in (mandated, mandated | 0x04) or flags != mandated and not geo_capable:
+            return ProtocolViolation
+        if stop is not None and stop < len(head):
+            return MalformedPacket
+        if has_id and not packet_id:
+            return ProtocolViolation
+        if stop is not None:
+            return MalformedPacket
+        if geo is not None and version == 1:
+            if not (-90 <= latitude <= 90 and -180 <= longitude <= 180):
+                return InvalidCoordinates
+        if trailing:
+            return MalformedPacket
+        return None
+
+    fault = fault_at()
+    if fault is not None:
+        return frame, fault
+    return frame, ControlPacket(cls(packet_id) if has_id else cls(), geo)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fixed_layout_frames(), st.booleans())
+def test_a_fixed_layout_packet_decodes_to_the_packet_of_its_fields(case, as_bytearray):
+    """decode_packet gives a hand-assembled fixed-layout packet the packet
+    of its fields, or the exception class of its first fault."""
+    frame, expected = case
+    try:
+        packet = decode_packet(bytearray(frame) if as_bytearray else frame)
+    except CodecError as exc:
+        assert exc.__class__ is expected
+        return
+    assert isinstance(expected, ControlPacket)
+    # The same values (a NaN field is unequal to itself, so its repr decides).
+    assert packet.__class__ is ControlPacket and repr(packet) == repr(expected)
+    assert packet == expected or "nan" in repr(expected)
+    assert packet.frame is None and encode_packet(packet) == encode_packet(expected)
