@@ -28,18 +28,18 @@ Routing reads a plan per topic, so a publish costs what matches it, not
 the size of the table. A plan holds the subscriber maps of the filters
 matching the topic, found by walking a topic tree (topics.TopicTree), and,
 for each of those clients that owns fences, the fences whose filters
-match the topic. A topic's first publish since plans were dropped only
-marks it, so a topic published once costs what it did without plans; the
-second builds its plan, and later ones walk no tree and match no fence
-filter. A subscribe, or a fence added or cleared, drops every plan. An
-unsubscribe or a session close drops none: a plan shares the tree's
-subscriber maps, which lose the client at once. PLAN_ENTRIES bounds what
-the plans hold. What depends on where a client is stays out of the plan:
-radius verdicts, fence containment and geo-capability are decided at
-each publish. Geometry is compiled when it is stored (see geo): a radius
-filter keeps a geo.Circle, a static fence its Ring, a location record its
-GeoPoint, and a dynamic fence the Ring it last resolved to, with the
-anchor's record it was resolved at.
+match the topic. A topic's first publish since plans were dropped builds
+its plan, and later ones walk no tree and match no fence filter. A
+subscribe, or a fence added or cleared, drops every plan. An unsubscribe
+or a session close drops none: a plan shares the tree's subscriber maps,
+which lose the client at once. PLAN_ENTRIES bounds what the plans hold.
+What depends on where a client is stays out of the plan: radius verdicts,
+fence containment and geo-capability are decided at each publish.
+Geometry is compiled when it is stored (see geo): a radius filter keeps a
+geo.Circle, a static fence its Ring, and a dynamic fence the Ring it last
+resolved to, with the anchor's record it was resolved at. A fix is its
+own point: the decoder has already checked a version-1 block's
+coordinates.
 
 route() decides most radius filters without a call. A point past the
 circle's latitude band is outside; a point within its inner bound, where
@@ -114,9 +114,9 @@ CONNACK_ACCEPTED = 0x00
 CONNACK_BAD_PROTOCOL = 0x01
 CONNACK_ID_REJECTED = 0x02
 SUBACK_FAILURE = 0x80
-# route()'s marks and plans take at most 64 bytes a unit (traced: 16-64), so
-# this caps them near 3 MB, a sixth of an idle broker's RSS, with room for
-# some 6000 plans of short topics. Past it, route() drops them all.
+# route()'s plans take at most 64 bytes a unit (traced: 16-64), so this caps
+# them near 3 MB, a sixth of an idle broker's RSS, with room for some 6000
+# plans of short topics. Past it, route() drops them all.
 PLAN_ENTRIES = 50_000
 
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
@@ -142,9 +142,8 @@ class Subscription(Record):
 class LocationRecord(Record):
     """Last-known location of a client plus its trip accumulators."""
 
-    _fields = ("client_id", "location", "received_at", "cumulative_distance_m", "last_speed_kmh",
-               "updates", "segment_m")
-    __slots__ = (*_fields, "point")
+    __slots__ = _fields = ("client_id", "location", "received_at", "cumulative_distance_m",
+                           "last_speed_kmh", "updates", "segment_m")
 
     def __init__(
         self, client_id: str, location: GeoLocation, received_at: float,
@@ -158,7 +157,6 @@ class LocationRecord(Record):
         self.last_speed_kmh = last_speed_kmh
         self.updates = updates
         self.segment_m = segment_m  # distance from the previous fix
-        self.point = GeoPoint(location.latitude, location.longitude)
 
 
 class Delivery(FrozenRecord):
@@ -210,8 +208,8 @@ class _StoredFence:
 
 # A topic's route plan: the subscriber maps ({client: Subscription}) of the
 # filters matching the topic, and {candidate client: its fences whose
-# filters match the topic}, or None where the fences are not planned.
-Plan = tuple[list[dict[str, Subscription]], dict[str, list[_StoredFence]] | None]
+# filters match the topic}.
+Plan = tuple[list[dict[str, Subscription]], dict[str, list[_StoredFence]]]
 
 
 class BrokerState:
@@ -232,7 +230,7 @@ class BrokerState:
         # topic -> Plan, made by route(); cleared by subscribe and by every
         # change to self.fences. A plan shares the tree's subscriber maps, so
         # a subscription removed (unsubscribe, close) leaves it at once.
-        self.plans: dict[str, Plan | tuple[()]] = {}  # a plan, or a topic's mark
+        self.plans: dict[str, Plan] = {}
         self._planned = 0  # PLAN_ENTRIES units in self.plans; stale once it is cleared
 
     # -- session lifecycle --------------------------------------------------
@@ -431,7 +429,7 @@ class BrokerState:
         record = LocationRecord(client_id, geo, now)
         prior = self.locations.get(client_id)
         if prior is not None:
-            segment = haversine_distance(prior.point, record.point)
+            segment = haversine_distance(prior.location, geo)
             dt = now - prior.received_at
             record.segment_m = segment
             record.cumulative_distance_m = prior.cumulative_distance_m + segment
@@ -518,20 +516,13 @@ class BrokerState:
         qos: int,
         geo: GeoLocation | None,
     ) -> list[Delivery]:
-        """Delivery decisions for one publish; see the module docstring."""
+        """Delivery decisions for one publish; see the module docstring.
+        The decision does not read ``publisher_id``."""
         point = None  # fail closed: no location, no geo-constrained delivery
         if geo is not None and geo.is_evaluable:
-            # The publisher's fix, stored by receive() just before, has the point.
-            fix = self.locations.get(publisher_id)
-            if fix is not None and fix.location is geo:
-                point = fix.point
-            else:
-                point = GeoPoint(geo.latitude, geo.longitude)
-            lat, lon = point.latitude, point.longitude
-        plan = self.plans.get(topic)
-        if not plan:  # None: not seen since the plans were dropped; (): seen once
-            plan = self._plan(topic, plan is not None)
-        nodes, fenced = plan
+            point = geo
+            lat, lon = geo.latitude, geo.longitude
+        nodes, fenced = self.plans.get(topic) or self._plan(topic)
         granted: dict[str, int] = {}  # client -> the highest QoS of its passing filters
         via_circle: set[str] = set()  # clients with a passing radius filter
         for subs in nodes:
@@ -558,38 +549,33 @@ class BrokerState:
                     granted[client_id] = sub.qos
         deliveries = []
         for client_id, sub_qos in granted.items():
-            if client_id in self.fences:
-                fences = self._fences_for(client_id, topic) if fenced is None else fenced.get(client_id)
-                if fences and not self._inside_fences(client_id, fences):
-                    continue
+            fences = fenced.get(client_id)
+            if fences and not self._inside_fences(client_id, fences):
+                continue
             include_geo = geo is not None and (
                 client_id in via_circle or self.sessions[client_id].geo_capable
             )
             deliveries.append(Delivery(client_id, min(qos, sub_qos), include_geo))
         return deliveries
 
-    def _plan(self, topic: str, seen: bool) -> Plan:
-        """``topic``'s plan if it was ``seen`` since plans were dropped, else a
-        mark (an empty plan) and no fence lists. Each is stored with its size
-        in PLAN_ENTRIES units; passing PLAN_ENTRIES drops all marks and
-        plans first, and a plan larger than it alone is not stored."""
+    def _plan(self, topic: str) -> Plan:
+        """``topic``'s plan, stored with its size in PLAN_ENTRIES units;
+        passing PLAN_ENTRIES drops all plans first, and a plan larger than
+        it alone is not stored."""
         nodes = self.subscriptions.match(topic)
-        fenced = None
-        size = mark = 2 + len(topic) // 16  # its slot, its topic at up to 4 bytes a character
-        if seen:
-            owners = {client_id for subs in nodes for client_id in subs} & self.fences.keys()
-            fenced = {cid: fences for cid in owners if (fences := self._fences_for(cid, topic))}
-            size += 4 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
+        owners = {client_id for subs in nodes for client_id in subs} & self.fences.keys()
+        fenced = {cid: fences for cid in owners if (fences := self._fences_for(cid, topic))}
+        # its slot (2), its topic at up to 4 bytes a character, the plan (4) and what it holds
+        size = 6 + len(topic) // 16 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
+        plan = nodes, fenced
         if size > PLAN_ENTRIES:
-            return nodes, fenced
+            return plan
         if not self.plans or self._planned + size > PLAN_ENTRIES:  # empty: the count is stale
             self.plans.clear()
             self._planned = 0
-        elif seen:
-            self._planned -= mark  # the plan replaces the topic's mark
-        self.plans[topic] = (nodes, fenced) if seen else ()
+        self.plans[topic] = plan
         self._planned += size
-        return nodes, fenced
+        return plan
 
     def _fences_for(self, client_id: str, topic: str) -> list[_StoredFence]:
         """The fences the client owns for the filters matching ``topic``."""
@@ -605,7 +591,7 @@ class BrokerState:
         record = self.locations.get(client_id)
         if record is None or not record.location.is_evaluable:
             return False
-        where = record.point
+        where = record.location
         for stored in fences:
             ring = self._ring(stored)
             if ring is None or not ring.box_contains(where) or not point_in_polygon(where, ring):
@@ -620,7 +606,7 @@ class BrokerState:
         record = self.locations.get(fence.anchor_client or "")
         if record is not stored.anchor:
             stored.anchor = record
-            anchor = record.point if record is not None and record.location.is_evaluable else None
+            anchor = record.location if record is not None and record.location.is_evaluable else None
             try:
                 stored.ring = Ring(resolve_polygon(fence, anchor))
             except (AnchorUnknown, InvalidCoordinates):
@@ -748,6 +734,7 @@ def load_fence_file(path: str, state: BrokerState) -> int:
 
 SWEEP_S = 0.5  # how often the loop checks every connection's deadlines
 OUT_LIMIT = 8 << 20  # bytes queued to one connection past which it is closed as a slow consumer
+ADMIN_LINE_LIMIT = 64 << 10  # bytes of an unfinished admin line past which its connection is ended
 
 
 class _Conn:
@@ -957,7 +944,8 @@ class Broker:
 
     def _read_admin(self, conn: _Conn, writes: list[Write]) -> None:
         """Answer each whole line, and at EOF a last one without a newline;
-        a line that is not UTF-8 gets ERR."""
+        a line that is not UTF-8 gets ERR. An unfinished line longer than
+        ADMIN_LINE_LIMIT gets ERR and ends the connection."""
         try:
             chunk = conn.sock.recv(CHUNK)
         except BlockingIOError:
@@ -971,9 +959,12 @@ class Broker:
             for line in lines
             for reply in self.state.admin_command(line.decode("utf-8", "replace").strip())
         ]
+        too_long = len(conn.reader) > ADMIN_LINE_LIMIT
+        if too_long:
+            replies.append("ERR line too long\n")
         if replies:
             writes.append((conn, "".join(replies).encode("utf-8")))
-        if not chunk:
+        if not chunk or too_long:
             writes.append((conn, None))
 
     # -- writes -----------------------------------------------------------------
@@ -1045,13 +1036,20 @@ class Broker:
             return
         self._conns.remove(conn)
         self._selector.unregister(conn.sock)
+        try:  # a FIN first, so a reset for unread input still lets the peer read all, then EOF
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
         conn.sock.close()
         writes += self.state.release(conn)
         self.state.events.flush()
 
 
 def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list[str]:
-    """Send one admin command; returns the reply lines up to OK/ERR."""
+    """Send one admin command; returns its reply lines. DUMP-LOCATIONS
+    replies with rows of seven fields and then ``OK``, so only the line
+    ``OK`` ends it; every other command replies with one line."""
+    dump = line.upper().split()[:1] == ["DUMP-LOCATIONS"]
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(line.encode("utf-8") + b"\n")
         fh = sock.makefile("r", encoding="utf-8")
@@ -1059,6 +1057,6 @@ def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list
         for reply in fh:
             reply = reply.rstrip("\n")
             lines.append(reply)
-            if reply == "OK" or reply.startswith(("OK ", "ERR")):
+            if reply == "OK" or not dump:
                 return lines
     raise MQTTgError("admin connection closed before reply terminator")

@@ -327,21 +327,18 @@ class TestSubscriptionIndex:
 
 
 def planned_entries(state):
-    """What the stored marks and plans hold, counted as PLAN_ENTRIES counts
-    it: a mark is the topic's slot and its string, a plan adds its
-    subscriber maps, its fenced clients and their fences."""
+    """What the stored plans hold, counted as PLAN_ENTRIES counts it: the
+    topic's slot and its string, the plan, its subscriber maps, its fenced
+    clients and their fences."""
     total = 0
-    for topic, plan in state.plans.items():
-        total += 2 + len(topic) // 16
-        if plan:
-            nodes, fenced = plan
-            total += 4 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
+    for topic, (nodes, fenced) in state.plans.items():
+        total += 6 + len(topic) // 16 + len(nodes) + 2 * len(fenced) + sum(map(len, fenced.values()))
     return total
 
 
 class TestRoutePlans:
     """route() reads a topic's candidates and fences from a plan, built on
-    the topic's second publish, dropped by a subscribe or a fence change,
+    the topic's first publish, dropped by a subscribe or a fence change,
     and in step with the tree's subscriber maps through every removal."""
 
     @pytest.fixture
@@ -375,10 +372,9 @@ class TestRoutePlans:
     def test_a_plan_hit_walks_no_tree_and_matches_no_filter(self, calls):
         state = self.fenced_state()
         assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
-        assert calls == {"match": 1, "topic_matches": 3}  # a mark; sub's fences matched
-        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
-        assert calls == {"match": 2, "topic_matches": 6}  # the plan is built
+        assert calls == {"match": 1, "topic_matches": 3}  # the plan is built; sub's fences matched
         calls.update(match=0, topic_matches=0)
+        assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"sub", "near"}
         assert routed(state, "t/x", geo=geo(1.0, 1.0)) == {"sub"}
         state.update_last_location("truck", geo(5.0, 5.0), 1.0)  # the dynamic fence moves away
         assert routed(state, "t/x", geo=geo(0.1, 0.1)) == {"near"}
@@ -387,23 +383,30 @@ class TestRoutePlans:
     def test_a_subscribe_makes_the_topic_plan_again(self, calls):
         state = self.fenced_state()
         routed(state, "t/x")
-        routed(state, "t/x")
         state.subscribe("truck", (TopicFilter("#", 0),))
         calls.update(match=0, topic_matches=0)
         for _ in range(3):
             assert routed(state, "t/x") == {"sub", "truck"}
-        assert calls == {"match": 2, "topic_matches": 6}
+        assert calls == {"match": 1, "topic_matches": 3}
 
-    def test_a_topic_published_once_gets_only_a_mark(self, calls):
+    def test_a_topics_first_publish_stores_its_plan(self, calls):
         state = self.fenced_state()
-        for n in range(50):
-            assert routed(state, f"t/{n}") == {"sub"}
-        assert set(state.plans.values()) == {()}
-        assert calls == {"match": 50, "topic_matches": 150}
+        topics = ["t/x", *(f"t/{n}" for n in range(49))]
+        for topic in topics:
+            expected = {"sub", "near"} if topic == "t/x" else {"sub"}
+            assert routed(state, topic, geo=geo(0.1, 0.1)) == expected
+        assert calls == {"match": 50, "topic_matches": 150}  # a walk, and sub's 3 fence filters, each
+        assert list(state.plans) == topics
+        nodes, fenced = state.plans["t/x"]
+        assert len(nodes) == 3 and fenced.keys() == {"sub"} and len(fenced["sub"]) == 2
+        assert [f for _, f in list(state.plans.values())[1:]] == [{}] * 49  # no fence matches t/<n>
+        calls.update(match=0, topic_matches=0)
+        for topic in topics:
+            routed(state, topic, geo=geo(0.1, 0.1))
+        assert calls == {"match": 0, "topic_matches": 0}
 
     def test_an_unsubscribe_or_a_close_keeps_the_plans(self, calls):
         state = self.fenced_state()
-        routed(state, "t/x", geo=geo(0.1, 0.1))
         routed(state, "t/x", geo=geo(0.1, 0.1))
         kept = dict(state.plans)
         state.open_session("pub")  # a takeover of a session with no filters
@@ -414,7 +417,7 @@ class TestRoutePlans:
         state.open_session("sub")  # a takeover of a subscribed session
         assert routed(state, "t/x", geo=geo(0.1, 0.1)) == set()
         assert state.plans == kept
-        assert calls == {"match": 2, "topic_matches": 6}
+        assert calls == {"match": 1, "topic_matches": 3}
 
     def test_planned_entries_never_pass_the_cap(self):
         state = make_state("pub", *(f"all{i}" for i in range(4)))
@@ -424,7 +427,7 @@ class TestRoutePlans:
         state.add_fence("all0", "#", square_around(0.0, 0.0))
         state.add_fence("all1", "#", square_around(10.0, 10.0))  # all1 is never inside
         every = {"all0", "all2", "all3"}
-        size = 2 + 4 + 1 + 2 * 2 + 2  # mark, plan, one map, two fenced clients, their fences
+        size = 2 + 4 + 1 + 2 * 2 + 2  # slot and topic, plan, one map, two fenced clients, their fences
         per_fill = mqttg.broker.PLAN_ENTRIES // size
         drops, held = 0, 0
         for n in range(per_fill * 2 + per_fill // 2):
@@ -432,7 +435,7 @@ class TestRoutePlans:
                 assert routed(state, f"m/{n}") == every
             if len(state.plans) < held:
                 drops += 1
-                assert routed(state, "m/0") == every  # marked again after the drop
+                assert routed(state, "m/0") == every  # planned again after the drop
             held = len(state.plans)
             if len(state.plans) in (1, per_fill) or n % 997 == 0:
                 assert planned_entries(state) == state._planned <= mqttg.broker.PLAN_ENTRIES
@@ -470,9 +473,9 @@ class TestRoutePlans:
         state.subscribe("d", (TopicFilter("x/+", 0), TopicFilter("x/1", 0)))
         for _ in range(2):
             assert routed(state, "x/1") == {"a", "b", "c", "d"}
-            assert state.plans == {"x/1": ()}
+            assert state.plans == {}
         assert routed(state, "y") == set()
-        assert planned_entries(state) == state._planned == 4
+        assert planned_entries(state) == state._planned == 6
 
 
 def destination(lat, lon, distance_m, bearing_deg):
@@ -538,6 +541,22 @@ class TestRadiusBoundary:
         d = haversine_distance(GeoPoint(*point), GeoPoint(*center))
         assert 100.0 < d < 110.0
         routed_inside(center, point, d * scale)
+
+    def test_the_exact_check_gets_the_publishs_own_geolocation(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return inside_radius(*args)
+
+        monkeypatch.setattr(mqttg.broker, "inside_radius", spy)
+        state = make_state("pub", "sub")
+        near = GeoConstraint(ConstraintKind.INSIDE_RADIUS, 50_000.0, 0.0, 0.0)
+        state.subscribe("sub", (TopicFilter("t", 0, near),))
+        fix = geo(0.3, 0.3)  # 47 km out: between the inner bound and the band
+        state.update_last_location("pub", fix, 0.0)
+        assert state.route("pub", "t", 0, fix) == [Delivery("sub", 0, True)]
+        assert len(calls) == 1 and calls[0][0] is fix
 
 
 def dynamic_square(anchor, half=1.0):

@@ -67,6 +67,9 @@ class TrickleSocket:
         self.received += chunk
         return len(chunk)
 
+    def shutdown(self, how) -> None:
+        pass
+
     def close(self) -> None:
         self.closed = True
 

@@ -294,6 +294,33 @@ class TestGeoBehavior:
                 assert fh.readline() == b"OK\n"
         assert caught == []
 
+    def test_an_admin_line_past_the_limit_gets_err_and_eof(self, broker):
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", broker.admin_port), timeout=1.0) as sock:
+            try:
+                sock.sendall(b"X" * (1 << 20))
+            except OSError:
+                pass  # the broker may end the connection before it has all of it
+            with sock.makefile("rb") as fh:
+                assert fh.readline() == b"ERR line too long\n"
+                assert fh.read() == b""
+        assert time.monotonic() - started < 1.0
+        assert admin_request("127.0.0.1", broker.admin_port, "DUMP-LOCATIONS") == ["OK"]
+
+    def test_a_dump_ends_only_at_its_ok(self):
+        broker = Broker(host="127.0.0.1", port=0, admin_host="127.0.0.1", admin_port=0,
+                        event_log=EventLog(()))
+        for client_id in ("ERRAND", "OK", "ERR"):
+            broker.state.update_last_location(client_id, geo(1.0, 2.0), 0.0)
+        broker.start()
+        try:
+            lines = admin_request("127.0.0.1", broker.admin_port, "dump-locations")
+            assert admin_request("127.0.0.1", broker.admin_port, "CLEAR-FENCE OK t") == ["OK 0"]
+        finally:
+            broker.stop()
+        assert [line.split()[0] for line in lines] == ["ERR", "ERRAND", "OK", "OK"]
+        assert lines[-1] == "OK" and all(len(line.split()) == 7 for line in lines[:-1])
+
 
 class TestSessionRules:
     def test_duplicate_client_id_takeover(self, broker):
@@ -742,6 +769,9 @@ class TestBatchedFrames:
                     raise OSError("broken pipe")
                 done.append((self.name, bytes(data)))
                 return len(data)
+
+            def shutdown(self, how):
+                pass
 
             def close(self):
                 done.append((self.name, None))

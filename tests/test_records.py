@@ -183,10 +183,6 @@ def test_fields_left_out_of_eq_hash_and_repr():
     assert sub.circle is not None and sub == Subscription("a", 0, constraint())
     sub.circle = None
     assert sub == Subscription("a", 0, constraint()) and "circle" not in repr(sub)
-    record = LocationRecord("c1", location(), 1.0)
-    assert record.point == GeoPoint(12.5, -7.25) and "point" not in repr(record)
-    record.point = GeoPoint(0, 0)
-    assert record == LocationRecord("c1", location(), 1.0)
 
 
 def test_construction_keeps_its_rounding_and_validation():
