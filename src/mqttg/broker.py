@@ -118,6 +118,7 @@ SUBACK_FAILURE = 0x80
 # them near 3 MB, a sixth of an idle broker's RSS, with room for some 6000
 # plans of short topics. Past it, route() drops them all.
 PLAN_ENTRIES = 50_000
+ADMIN_COMMANDS = ("DUMP-LOCATIONS", "ADD-FENCE", "CLEAR-FENCE")
 
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
 
@@ -500,12 +501,11 @@ class BrokerState:
         outbound = session.outbound or ()
         if len(outbound) >= 65535:
             raise MQTTgError("no free packet identifiers")
-        for _ in range(65535):
+        while True:  # fewer than 65535 are taken, so a free one comes within 65535 steps
             pid = session.next_pid
             session.next_pid = pid % 65535 + 1
             if pid not in outbound:
                 return pid
-        raise MQTTgError("no free packet identifiers")
 
     # -- routing --------------------------------------------------------------
 
@@ -639,6 +639,8 @@ class BrokerState:
             return []
         tokens = line.split()
         command = tokens[0].upper()
+        if command not in ADMIN_COMMANDS:
+            return [f"ERR unknown command {tokens[0]!r}"]
         try:
             if command == "DUMP-LOCATIONS":
                 rows = [
@@ -659,11 +661,9 @@ class BrokerState:
             if command == "ADD-FENCE":
                 self.add_fence(*parse_fence_spec(tokens[1:]))
                 return ["OK"]
-            if command == "CLEAR-FENCE":
-                if len(tokens) != 3:
-                    return ["ERR expected: CLEAR-FENCE client_id topic"]
-                return [f"OK {self.clear_fence(tokens[1], tokens[2])}"]
-            return [f"ERR unknown command {tokens[0]!r}"]
+            if len(tokens) != 3:  # CLEAR-FENCE
+                return ["ERR expected: CLEAR-FENCE client_id topic"]
+            return [f"OK {self.clear_fence(tokens[1], tokens[2])}"]
         except (ValueError, MQTTgError) as exc:
             return [f"ERR {exc}"]
 
@@ -943,9 +943,9 @@ class Broker:
         writes.append((conn, None))
 
     def _read_admin(self, conn: _Conn, writes: list[Write]) -> None:
-        """Answer each whole line, and at EOF a last one without a newline;
-        a line that is not UTF-8 gets ERR. An unfinished line longer than
-        ADMIN_LINE_LIMIT gets ERR and ends the connection."""
+        """Answer each whole line, and at EOF a last one without a newline.
+        An unfinished line longer than ADMIN_LINE_LIMIT gets ERR and ends
+        the connection."""
         try:
             chunk = conn.sock.recv(CHUNK)
         except BlockingIOError:
@@ -954,11 +954,7 @@ class Broker:
             chunk = b""
         lines = (conn.reader + chunk).split(b"\n")
         conn.reader = lines.pop() if chunk else b""
-        replies = [
-            reply + "\n"
-            for line in lines
-            for reply in self.state.admin_command(line.decode("utf-8", "replace").strip())
-        ]
+        replies = [reply + "\n" for line in lines for reply in self._admin_replies(line)]
         too_long = len(conn.reader) > ADMIN_LINE_LIMIT
         if too_long:
             replies.append("ERR line too long\n")
@@ -966,6 +962,19 @@ class Broker:
             writes.append((conn, "".join(replies).encode("utf-8")))
         if not chunk or too_long:
             writes.append((conn, None))
+
+    def _admin_replies(self, line: bytes) -> list[str]:
+        """The replies to one admin line. A line that is not UTF-8 is not
+        run: its ERR says that its first word is no command, or else where
+        it stops being UTF-8."""
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            word = line.split()[0].decode("utf-8", "replace")
+            if word.upper() not in ADMIN_COMMANDS:
+                return [f"ERR unknown command {word!r}"]
+            return [f"ERR line is not UTF-8 at byte {exc.start}"]
+        return self.state.admin_command(text.strip())
 
     # -- writes -----------------------------------------------------------------
 
@@ -1048,7 +1057,10 @@ class Broker:
 def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list[str]:
     """Send one admin command; returns its reply lines. DUMP-LOCATIONS
     replies with rows of seven fields and then ``OK``, so only the line
-    ``OK`` ends it; every other command replies with one line."""
+    ``OK`` ends it; every other command replies with one line. The broker
+    answers no blank line, so a blank ``line`` raises MQTTgError at once."""
+    if not line.strip():
+        raise MQTTgError("an admin command cannot be blank")
     dump = line.upper().split()[:1] == ["DUMP-LOCATIONS"]
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(line.encode("utf-8") + b"\n")

@@ -11,7 +11,8 @@ byte-identically to plain MQTT 3.1.1.
 class, mandated flag nibble, whether it may carry the block, whether a
 packet identifier leads its variable header, and the codec for the rest
 of its body. The block follows the packet identifier, or opens the body
-when the type has none.
+when the type has none. ``encode_packet`` writes every non-PUBLISH packet
+from its entry, on one path.
 
 ``decode_packet`` reads each packet on one path, chosen by its type:
 PUBLISH and PUBLISHG in one pass; a fixed layout (the four acks, UNSUBACK,
@@ -19,7 +20,9 @@ PINGREQ, PINGRESP, DISCONNECT), whose packet identifier and block are its
 whole body, by its ``_PACKETS`` entry alone; and a variable body (CONNECT,
 CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) with its entry's decoder, which
 reads the rest through ``_Reader``. One helper, ``_id_and_block``, reads
-the packet identifier and block on all three.
+the packet identifier and block on all three. Every value a decoder
+returns is made by its class's own ``__init__``, so a decoded record is
+the one its constructor makes from the same fields.
 
 A decoded PUBLISH or PUBLISHG encodes to its own frame: it keeps its
 ``bytes`` when encoding the fields gives them back (a minimal remaining
@@ -91,7 +94,6 @@ def _f32(value: float) -> float:
         raise EncodeError(f"{value!r} does not fit a 32-bit float") from None
 
 
-_new = object.__new__
 _set = object.__setattr__
 
 
@@ -100,8 +102,10 @@ class GeoLocation(FrozenRecord):
 
     Coordinates are decimal degrees; elevation is meters above sea level
     and is rounded to 32-bit float precision on construction so that
-    encode/decode is the identity. Blocks with an unknown version decode
-    structurally and keep their raw bytes for verbatim re-encoding.
+    encode/decode is the identity. decode_geolocation makes each block with
+    this constructor too, where the rounding keeps the f32 it read. Blocks
+    with an unknown version decode structurally and keep their raw bytes
+    for verbatim re-encoding.
     """
 
     _fields = ("version", "latitude", "longitude", "elevation")
@@ -116,21 +120,6 @@ class GeoLocation(FrozenRecord):
         fields["longitude"] = longitude
         fields["elevation"] = _f32(elevation)
         fields["raw"] = raw
-
-    @classmethod
-    def _decoded(
-        cls, version: int, latitude: float, longitude: float, elevation: float, raw: bytes | None
-    ) -> GeoLocation:
-        """A block just read off the wire, whose elevation already is an
-        f32: the same object as ``GeoLocation(...)``, without the rounding."""
-        geo = _new(cls)
-        fields = geo.__dict__
-        fields["version"] = version
-        fields["latitude"] = latitude
-        fields["longitude"] = longitude
-        fields["elevation"] = elevation
-        fields["raw"] = raw
-        return geo
 
     __reduce__ = object.__reduce__  # a copy or pickle keeps the whole __dict__, raw included
 
@@ -363,10 +352,10 @@ def decode_geolocation(data: bytes, pos: int = 0) -> GeoLocation:
             raise InvalidCoordinates(
                 f"latitude {latitude!r} / longitude {longitude!r} out of range"
             )
-        return GeoLocation._decoded(1, latitude, longitude, elevation, None)
+        return GeoLocation(1, latitude, longitude, elevation)
     # Unknown layout versions are preserved verbatim and flagged unevaluable.
     raw = bytes(data[pos : pos + GEO_BLOCK_SIZE])
-    return GeoLocation._decoded(version, latitude, longitude, elevation, raw)
+    return GeoLocation(version, latitude, longitude, elevation, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +461,10 @@ def _binary(data: bytes) -> bytes:
     return _U16.pack(len(data)) + data
 
 
-def _u16(value: int, what: str) -> bytes:
-    if not 0 <= value <= 65535:
-        raise EncodeError(f"{what} {value} does not fit 16 bits")
-    return _U16.pack(value)
-
-
-def _checked_packet_id(value: int | None, what: str) -> int:
+def _packet_id(value: int | None, what: str) -> bytes:
     if value is None or not 1 <= value <= 65535:
         raise EncodeError(f"{what} requires a packet identifier in [1, 65535], got {value}")
-    return value
-
-
-def _packet_id(value: int | None, what: str) -> bytes:
-    return _U16.pack(_checked_packet_id(value, what))
+    return _U16.pack(value)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +494,8 @@ def _encode_connect(body: Connect) -> bytes:
             raise EncodeError("password requires a username")
         connect_flags |= 0x40
         payload += _binary(body.password)
-    head = _string("MQTT") + bytes([body.protocol_level, connect_flags]) + _u16(
-        body.keep_alive, "keep_alive"
-    )
-    return head + payload
+    head = _string("MQTT") + bytes([body.protocol_level, connect_flags])
+    return head + _U16.pack(body.keep_alive) + payload
 
 
 def _decode_connect(reader: _Reader) -> tuple:
@@ -694,8 +671,6 @@ _BY_BODY = {spec.body: spec for spec in _PACKETS}
 #: reserved 0) and its _Spec (None for 0, PUBLISH and PUBLISHG).
 _TYPES = (None, *PacketType)
 _SPECS = tuple(next((spec for spec in _PACKETS if spec.ptype is t), None) for t in _TYPES)
-#: A frame whose body is only a packet identifier: first byte, remaining length 2, id.
-_ID_FRAME = struct.Struct(">BBH")
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +692,6 @@ def encode_packet(packet: ControlPacket) -> bytes:
         return _encode_publish(body, geo)
     spec = _BY_BODY[type(body)]
     first = (spec.ptype << 4) | spec.flags
-    if geo is None and spec.encode is None:
-        # The fixed-size replies: an identifier or nothing at all.
-        if not spec.packet_id:
-            return bytes((first, 0))
-        return _ID_FRAME.pack(first, 2, _checked_packet_id(body.packet_id, spec.ptype.name))
     rest = b""
     if geo is not None:
         if not spec.geo:
@@ -803,7 +773,9 @@ def decode_packet(data: bytes) -> ControlPacket:
     PINGRESP, DISCONNECT) is only its packet identifier and block; a
     variable body (CONNECT, CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) reads
     the rest with its ``_Spec.decode``. ``_id_and_block`` reads the packet
-    identifier and block on each path.
+    identifier and block on each path. The body is its ``_Spec.body`` made
+    from the packet identifier and the fields after the block, which a
+    fixed layout has none of.
     """
     first, remaining, pos = _read_fixed_header(data)
     n = len(data)
@@ -816,22 +788,15 @@ def decode_packet(data: bytes) -> ControlPacket:
     if flags != spec.flags and not (spec.geo and flags == spec.flags | GEO_FLAG):
         raise ProtocolViolation(f"invalid fixed-header flags 0x{flags:x} for {spec.ptype.name}")
     packet_id, geo, pos = _id_and_block(data, pos, spec.packet_id, flags & GEO_FLAG, first >> 4)
-    if spec.decode is None:
-        body = _new(spec.body)
-        if spec.packet_id:
-            _set(body, "packet_id", packet_id)
-    else:
+    fields = ()
+    if spec.decode is not None:
         reader = _Reader(data, pos)
         fields = spec.decode(reader)
         pos = reader.pos
-        body = spec.body(packet_id, *fields) if spec.packet_id else spec.body(*fields)
     if pos != n:
         raise MalformedPacket(f"{n - pos} unexpected trailing bytes in {spec.ptype.name}")
-    packet = _new(ControlPacket)
-    _set(packet, "body", body)
-    _set(packet, "geolocation", geo)
-    _set(packet, "frame", None)
-    return packet
+    body = spec.body(packet_id, *fields) if spec.packet_id else spec.body(*fields)
+    return ControlPacket(body, geo)
 
 
 def _id_and_block(
@@ -886,15 +851,7 @@ def _decode_publish(data: bytes, first: int, pos: int) -> ControlPacket:
         packet_id, geo, end = _id_and_block(data, end, qos, located, first >> 4)
         if located and geo.version == 1 and geo.elevation != geo.elevation:
             frame = None
-    body = _new(Publish)
-    _set(body, "topic", topic)
-    _set(body, "payload", data[end:])
-    _set(body, "qos", qos)
-    _set(body, "retain", first & 0x01 == 1)
-    _set(body, "dup", first & 0x08 == 8)
-    _set(body, "packet_id", packet_id)
-    packet = _new(ControlPacket)
-    _set(packet, "body", body)
-    _set(packet, "geolocation", geo)
+    body = Publish(topic, data[end:], qos, first & 0x01 == 1, first & 0x08 == 8, packet_id)
+    packet = ControlPacket(body, geo)
     _set(packet, "frame", frame)
     return packet

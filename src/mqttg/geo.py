@@ -27,7 +27,6 @@ from .record import FrozenRecord
 
 EARTH_RADIUS_M = 6_371_000.0
 
-_new = object.__new__
 _set = object.__setattr__
 
 
@@ -57,7 +56,10 @@ class GeofencePolygon(FrozenRecord):
 
     Static fences carry absolute vertices, and their Ring once validated;
     dynamic fences carry per-vertex (dlat, dlon) offsets plus the client
-    whose last-known location anchors them.
+    whose last-known location anchors them. Both modes pass
+    validate_polygon's shape checks, a dynamic fence on its offsets. An
+    offset is not range-checked: whether its vertex is in range depends on
+    the anchor.
     """
 
     _fields = ("mode", "vertices", "vertex_offsets", "anchor_client")
@@ -77,11 +79,10 @@ class GeofencePolygon(FrozenRecord):
                 raise InvalidPolygon("dynamic fences take vertex offsets, not vertices")
             if not anchor_client:
                 raise InvalidPolygon("dynamic fences require an anchor client")
-            if len(vertex_offsets) < 3:
-                raise InvalidPolygon("a polygon needs at least 3 vertices")
             for dlat, dlon in vertex_offsets:
                 if not (math.isfinite(dlat) and math.isfinite(dlon)):
                     raise InvalidPolygon("non-finite vertex offset")
+            _check_ring(vertex_offsets)
         _set(self, "mode", mode)
         _set(self, "vertices", vertices)
         _set(self, "vertex_offsets", vertex_offsets)
@@ -210,14 +211,22 @@ def validate_polygon(vertices: Sequence[GeoPoint]) -> Ring:
     (non-self-intersecting) ring, and a longitude span under 180 degrees
     after unwrapping (which also excludes pole-encircling rings).
     """
-    n = len(vertices)
+    _check_ring([(v.latitude, v.longitude) for v in vertices])
+    return Ring(vertices)
+
+
+def _check_ring(pairs: Sequence[tuple[float, float]]) -> None:
+    """validate_polygon's checks on (lat, lon) pairs: a fence's vertices,
+    or a dynamic fence's (dlat, dlon) offsets. The longitudes are unwrapped
+    around the first one's, as Ring unwraps them."""
+    n = len(pairs)
     if n < 3:
         raise InvalidPolygon(f"a polygon needs at least 3 vertices, got {n}")
     for i in range(n):
-        if vertices[i] == vertices[(i + 1) % n]:
+        if pairs[i] == pairs[(i + 1) % n]:
             raise InvalidPolygon(f"consecutive duplicate vertex at index {i}")
-    ring = Ring(vertices)
-    pts = ring.points
+    ref = pairs[0][1]
+    pts = [(ref + normalize_longitude(lon - ref), lat) for lat, lon in pairs]
     span = max(x for x, _ in pts) - min(x for x, _ in pts)
     if span >= 180.0:
         raise InvalidPolygon(f"longitude span {span:.3f} degrees >= 180")
@@ -229,7 +238,6 @@ def validate_polygon(vertices: Sequence[GeoPoint]) -> Ring:
             b1, b2 = pts[j], pts[(j + 1) % n]
             if _segments_cross(a1, a2, b1, b2):
                 raise InvalidPolygon(f"edges {i} and {j} intersect")
-    return ring
 
 
 def _cross(o, a, b) -> float:
@@ -294,11 +302,10 @@ def resolve_polygon(
 
     Static fences resolve to their own vertices. Dynamic fences translate
     each offset by the anchor's location, normalizing longitudes into
-    (-180, 180]; with no anchor location known yet they raise
-    AnchorUnknown (the fence then evaluates as non-matching), and with a
-    vertex past a pole InvalidCoordinates. The anchor is a valid point and
-    the offsets are finite, so each vertex is finite and its normalized
-    longitude in range: only its latitude needs a check.
+    (-180, 180], and make each vertex with GeoPoint: with no anchor
+    location known yet they raise AnchorUnknown (the fence then evaluates
+    as non-matching), and with a vertex past a pole GeoPoint raises
+    InvalidCoordinates.
     """
     if fence.mode is FenceMode.STATIC:
         return fence.vertices
@@ -307,13 +314,7 @@ def resolve_polygon(
             f"no known location for anchor client {fence.anchor_client!r}"
         )
     anchor_lat, anchor_lon = anchor_location.latitude, anchor_location.longitude
-    resolved = []
-    for dlat, dlon in fence.vertex_offsets:
-        lat = anchor_lat + dlat
-        if not -90.0 <= lat <= 90.0:
-            raise InvalidCoordinates(f"offset latitude {dlat!r} puts a vertex at {lat!r}")
-        vertex = _new(GeoPoint)  # GeoPoint(...) without checking again
-        _set(vertex, "latitude", lat)
-        _set(vertex, "longitude", normalize_longitude(anchor_lon + dlon))
-        resolved.append(vertex)
-    return tuple(resolved)
+    return tuple(
+        GeoPoint(anchor_lat + dlat, normalize_longitude(anchor_lon + dlon))
+        for dlat, dlon in fence.vertex_offsets
+    )

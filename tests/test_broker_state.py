@@ -24,6 +24,7 @@ from mqttg.geo import (
 from mqttg.topics import TopicTree
 
 from scenario import run_interleaved_scenario, run_large_scenario, run_scenario
+from test_geo import BAD_OFFSETS
 
 
 def geo(lat, lon, elev=0.0):
@@ -680,6 +681,15 @@ class TestFenceConfig:
         with pytest.raises(RouteFormatError) as err:
             load_fence_file(str(path), state)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("offsets, error", BAD_OFFSETS.values(), ids=BAD_OFFSETS)
+    def test_a_bad_dynamic_fence_in_a_file_names_its_line(self, tmp_path, offsets, error):
+        path = tmp_path / "fences.txt"
+        spec = " ".join(f"{dlat},{dlon}" for dlat, dlon in offsets)
+        path.write_text(f"sub a static 1,1 1,-1 -1,-1\nsub t dynamic truck-7 {spec}\n")
+        with pytest.raises(RouteFormatError, match=error) as err:
+            load_fence_file(str(path), BrokerState())
+        assert err.value.line_no == 2
 
     def test_file_loads_fences(self, tmp_path):
         path = tmp_path / "fences.txt"

@@ -22,7 +22,13 @@ from mqttg.codec import (
     decode_remaining_length,
     encode_packet,
 )
-from mqttg.errors import ConnectTimeout, DeliveryTimeout, MalformedPacket
+from mqttg.errors import (
+    ConnectRefused,
+    ConnectTimeout,
+    DeliveryTimeout,
+    MalformedPacket,
+    SubscriptionRefused,
+)
 from mqttg.netio import CHUNK
 
 from nettap import Tap
@@ -203,6 +209,56 @@ def test_failed_handshake_closes_the_socket():
         with peer[0] as sock:
             sock.settimeout(2.0)
             assert sock.recv(1) == b""  # EOF: the client closed its end
+
+
+def test_a_refused_connect_raises_and_closes_the_socket():
+    """CONNACK return code 5 (not authorized) is ConnectRefused."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            read_frame(sock)  # CONNECT
+            sock.sendall(encode_packet(ControlPacket(Connack(False, 5))))
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="refused", port=listener.getsockname()[1]))
+        with pytest.raises(ConnectRefused) as refused:
+            client.connect()
+        assert refused.value.return_code == 5
+        assert not client.connected
+        server.join(5.0)
+        with peer[0] as sock:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF: the client closed its end
+
+
+def test_a_suback_failure_code_raises_subscription_refused():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            read_frame(sock)  # CONNECT
+            sock.sendall(encode_packet(ControlPacket(Connack(False, 0))))
+            pid = decode_packet(read_frame(sock)).body.packet_id  # SUBSCRIBE
+            sock.sendall(encode_packet(ControlPacket(Suback(pid, (0x80,)))))
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(ClientConfig(client_id="denied", port=listener.getsockname()[1]))
+        client.connect()
+        try:
+            with pytest.raises(SubscriptionRefused, match="broker refused filter 'no/entry'"):
+                client.subscribe("no/entry", qos=1)
+            assert client.connected
+        finally:
+            client.disconnect()
+            server.join(5.0)
+            peer[0].close()
 
 
 def test_a_publish_that_arrives_with_the_connack_is_dispatched():

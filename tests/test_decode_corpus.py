@@ -85,9 +85,9 @@ def same_object(decoded: GeoLocation, built: GeoLocation) -> None:
 )
 def test_decoded_geolocation_is_the_constructed_one(bits, version, latitude, longitude):
     elevation = as_f32(bits)
-    raw = None if version == 1 else struct.pack("<Bddf", version, latitude, longitude, elevation)
-    decoded = GeoLocation._decoded(version, latitude, longitude, elevation, raw)
-    same_object(decoded, GeoLocation(version, latitude, longitude, elevation, raw))
+    block = struct.pack("<Bddf", version, latitude, longitude, elevation)
+    raw = None if version == 1 else block
+    same_object(decode_geolocation(block), GeoLocation(version, latitude, longitude, elevation, raw))
 
 
 @pytest.mark.parametrize(

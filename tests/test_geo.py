@@ -178,8 +178,40 @@ class TestPolygonValidation:
         with pytest.raises(InvalidPolygon):
             validate_polygon(wide)
 
+    def test_rejects_a_vertex_on_a_non_adjacent_edge(self):
+        # (0, 2) touches edge 0 without crossing it: the collinear case.
+        dent = (GeoPoint(0, 0), GeoPoint(0, 4), GeoPoint(3, 4), GeoPoint(0, 2), GeoPoint(3, 0))
+        with pytest.raises(InvalidPolygon, match="edges 0 and 2 intersect"):
+            validate_polygon(dent)
+
     def test_accepts_simple_polygon(self):
         validate_polygon(tuple(TestPointInPolygon.square))
+
+
+#: Offsets a dynamic fence refuses, as validate_polygon refuses such vertices.
+BAD_OFFSETS = {
+    "bowtie": (((1, 1), (-1, -1), (1, -1), (-1, 1)), "edges 0 and 2 intersect"),
+    "repeated": (((1, 1), (1, 1), (-1, -1), (1, -1)), "consecutive duplicate vertex at index 0"),
+    "wide": (((0, 0), (0, 100), (1, -100)), "longitude span 200.000 degrees >= 180"),
+    "two": (((0, 0), (1, 1)), "a polygon needs at least 3 vertices, got 2"),
+}
+
+
+class TestDynamicFenceValidation:
+    @pytest.mark.parametrize("offsets, error", BAD_OFFSETS.values(), ids=BAD_OFFSETS)
+    def test_a_bad_shape_is_refused(self, offsets, error):
+        with pytest.raises(InvalidPolygon, match=error):
+            GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="a")
+
+    def test_the_span_is_taken_across_the_antimeridian(self):
+        offsets = ((0, 170), (1, -170), (-1, -170))  # 20 degrees wide, not 340
+        GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="a")
+
+    def test_an_offset_is_not_range_checked(self):
+        offsets = ((100, 0), (100, 1), (99, 0))
+        fence = GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="a")
+        got = resolve_polygon(fence, GeoPoint(-80.0, 0.0))
+        assert [v.latitude for v in got] == [20.0, 20.0, 19.0]
 
 
 class TestResolvePolygon:
@@ -212,7 +244,8 @@ class TestResolvePolygon:
 
     def test_displacement_shifts_every_vertex(self):
         rng = Random(3)
-        offsets = tuple((rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for _ in range(4))
+        offsets = [(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for _ in range(4)]
+        offsets = tuple(sorted(offsets, key=lambda o: math.atan2(o[0], o[1])))  # a simple ring
         fence = GeofencePolygon(FenceMode.DYNAMIC, vertex_offsets=offsets, anchor_client="a")
         before = resolve_polygon(fence, GeoPoint(10.0, 20.0))
         after = resolve_polygon(fence, GeoPoint(10.5, 20.25))

@@ -12,7 +12,7 @@ import pytest
 
 import mqttg.broker as broker_module
 from mqttg.broker import Broker, admin_request
-from mqttg.client import ClientConfig, MqttgClient
+from mqttg.client import ClientConfig, InboundMessage, MqttgClient
 from mqttg.codec import (
     Connect,
     ConstraintKind,
@@ -35,11 +35,12 @@ from mqttg.codec import (
     encode_packet,
     encode_remaining_length,
 )
-from mqttg.errors import ConnectTimeout, NotConnected, SubscriptionRefused
+from mqttg.errors import ConnectTimeout, MQTTgError, NotConnected, SubscriptionRefused
 from mqttg.eventlog import EventLog
 
 from rawsock import read_frame
 from test_eventlog import FlushedText
+from test_geo import BAD_OFFSETS
 
 
 def mk_client(broker, client_id, location=None, **kw):
@@ -293,6 +294,34 @@ class TestGeoBehavior:
                 assert fh.readline().startswith(b"ERR unknown command")
                 assert fh.readline() == b"OK\n"
         assert caught == []
+
+    def test_admin_arguments_that_are_not_utf8_get_err_and_store_nothing(self, broker):
+        fence = b" t static 1,1 1,-1 -1,-1\n"
+        with socket.create_connection(("127.0.0.1", broker.admin_port), timeout=5.0) as sock:
+            sock.sendall(b"ADD-FENCE own\xff" + fence + b"ADD-FENCE own\xfe" + fence + b"DUMP-LOCATIONS\n")
+            with sock.makefile("rb") as fh:
+                assert fh.readline() == b"ERR line is not UTF-8 at byte 13\n"
+                assert fh.readline() == b"ERR line is not UTF-8 at byte 13\n"
+                assert fh.readline() == b"OK\n"
+        assert not broker.state.fences
+
+    @pytest.mark.parametrize("offsets, error", BAD_OFFSETS.values(), ids=BAD_OFFSETS)
+    def test_admin_refuses_a_bad_dynamic_fence(self, broker, offsets, error):
+        spec = " ".join(f"{dlat},{dlon}" for dlat, dlon in offsets)
+        line = f"ADD-FENCE own t dynamic anchor {spec}"
+        assert admin_request("127.0.0.1", broker.admin_port, line) == [f"ERR {error}"]
+        assert not broker.state.fences
+
+    @pytest.mark.parametrize("line", ["", " \t "], ids=["empty", "whitespace"])
+    def test_a_blank_admin_request_fails_without_connecting(self, line):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            started = time.monotonic()
+            with pytest.raises(MQTTgError, match="blank"):
+                admin_request("127.0.0.1", listener.getsockname()[1], line, timeout=2.0)
+            assert time.monotonic() - started < 0.5
+            listener.settimeout(0.1)
+            with pytest.raises((TimeoutError, socket.timeout)):
+                listener.accept()
 
     def test_an_admin_line_past_the_limit_gets_err_and_eof(self, broker):
         started = time.monotonic()
@@ -592,6 +621,34 @@ class TestSessionRules:
             assert sub.receive(timeout=0.4) is None
         finally:
             sub.disconnect()
+
+    def test_a_retained_will_is_stored_only_without_disconnect(self, broker):
+        """A connection that ends without DISCONNECT stores its retained
+        will; a later subscriber gets it retained, with no geolocation
+        although its publisher had one. A DISCONNECT stores nothing."""
+        watcher = mk_client(broker, "watcher")
+        try:
+            watcher.subscribe("will/#", qos=1)
+            polite = mk_client(broker, "polite", will=Will("will/polite", b"bye", retain=True))
+            polite.disconnect()
+            doomed = mk_client(
+                broker, "doomed", location=geo(1.0, 2.0), will=Will("will/doomed", b"gone", 1, True)
+            )
+            doomed.ping()
+            doomed._sock.shutdown(socket.SHUT_RDWR)  # crash: no DISCONNECT packet
+            live = watcher.receive(timeout=3.0)
+            assert (live.topic, live.payload, live.retain) == ("will/doomed", b"gone", False)
+            late = mk_client(broker, "late")
+            try:
+                late.subscribe("will/#", qos=1)
+                message = late.receive(timeout=3.0)
+                assert message == InboundMessage("will/doomed", b"gone", 1, None, retain=True)
+                assert late.receive(timeout=0.4) is None  # nothing from "polite"
+            finally:
+                late.disconnect()
+            assert watcher.receive(timeout=0.1) is None
+        finally:
+            watcher.disconnect()
 
     def test_keepalive_pings_keep_session_alive(self, broker):
         client = mk_client(broker, "pinger", location=geo(3.0, 4.0), keep_alive=1)
