@@ -146,18 +146,14 @@ class LocationRecord(Record):
     __slots__ = _fields = ("client_id", "location", "received_at", "cumulative_distance_m",
                            "last_speed_kmh", "updates", "segment_m")
 
-    def __init__(
-        self, client_id: str, location: GeoLocation, received_at: float,
-        cumulative_distance_m: float = 0.0, last_speed_kmh: float | None = None,
-        updates: int = 1, segment_m: float = 0.0,
-    ) -> None:
+    def __init__(self, client_id: str, location: GeoLocation, received_at: float) -> None:
         self.client_id = client_id
         self.location = location
         self.received_at = received_at
-        self.cumulative_distance_m = cumulative_distance_m
-        self.last_speed_kmh = last_speed_kmh
-        self.updates = updates
-        self.segment_m = segment_m  # distance from the previous fix
+        self.cumulative_distance_m = 0.0
+        self.last_speed_kmh: float | None = None
+        self.updates = 1
+        self.segment_m = 0.0  # distance from the previous fix
 
 
 class Delivery(FrozenRecord):
@@ -173,20 +169,16 @@ class SessionState(Record):
     __slots__ = _fields = ("client_id", "subscriptions", "geo_capable", "next_pid", "outbound",
                            "incoming_qos2", "owner", "will")
 
-    def __init__(
-        self, client_id: str, subscriptions: dict[str, Subscription] | None = None,
-        geo_capable: bool = False, next_pid: int = 1, outbound: set[int] | None = None,
-        incoming_qos2: set[int] | None = None, owner: object = None, will: Will | None = None,
-    ) -> None:
+    def __init__(self, client_id: str) -> None:
         self.client_id = client_id
-        self.subscriptions = {} if subscriptions is None else subscriptions
-        self.geo_capable = geo_capable
-        self.next_pid = next_pid
+        self.subscriptions: dict[str, Subscription] = {}
+        self.geo_capable = False
+        self.next_pid = 1
         # QoS flow tables, made on first use: most sessions never need them
-        self.outbound = outbound  # packet ids of unacknowledged deliveries
-        self.incoming_qos2 = incoming_qos2
-        self.owner = owner  # the connection's handle; None for a session with no connection
-        self.will = will
+        self.outbound: set[int] | None = None  # packet ids of unacknowledged deliveries
+        self.incoming_qos2: set[int] | None = None
+        self.owner: object = None  # the connection's handle; None for a session with no connection
+        self.will: Will | None = None
 
 
 class _StoredFence:
@@ -1062,9 +1054,13 @@ def admin_request(host: str, port: int, line: str, timeout: float = 5.0) -> list
     if not line.strip():
         raise MQTTgError("an admin command cannot be blank")
     dump = line.upper().split()[:1] == ["DUMP-LOCATIONS"]
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    # The reader holds the socket open until it is closed itself, so both
+    # close here on every path, a timeout included.
+    with (
+        socket.create_connection((host, port), timeout=timeout) as sock,
+        sock.makefile("r", encoding="utf-8") as fh,
+    ):
         sock.sendall(line.encode("utf-8") + b"\n")
-        fh = sock.makefile("r", encoding="utf-8")
         lines: list[str] = []
         for reply in fh:
             reply = reply.rstrip("\n")

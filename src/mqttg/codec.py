@@ -18,11 +18,14 @@ from its entry, on one path.
 PUBLISH and PUBLISHG in one pass; a fixed layout (the four acks, UNSUBACK,
 PINGREQ, PINGRESP, DISCONNECT), whose packet identifier and block are its
 whole body, by its ``_PACKETS`` entry alone; and a variable body (CONNECT,
-CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) with its entry's decoder, which
-reads the rest through ``_Reader``. One helper, ``_id_and_block``, reads
-the packet identifier and block on all three. Every value a decoder
-returns is made by its class's own ``__init__``, so a decoded record is
-the one its constructor makes from the same fields.
+CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) with its entry's decoder. Every
+field is read in place by its index in the frame, with no copy of the
+body: ``_id_and_block`` reads the packet identifier and block on all three
+paths, ``_string_at`` every string (the PUBLISH topic included),
+``_binary_at`` the will payload and the password, and ``_need`` checks
+the bounds of each other fixed-size field. Every value a decoder returns
+is made by its class's own ``__init__``, so a decoded record is the one
+its constructor makes from the same fields.
 
 A decoded PUBLISH or PUBLISHG encodes to its own frame: it keeps its
 ``bytes`` when encoding the fields gives them back (a minimal remaining
@@ -392,58 +395,35 @@ def decode_remaining_length(data: bytes, offset: int = 0) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    """Checked reads from ``data``, starting at ``pos``, with no copy of
-    the body: fixed-size fields are unpacked in place. Only the variable
-    bodies (CONNECT, CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) need one."""
+def _need(data: bytes, pos: int, n: int) -> int:
+    """The end of the ``n`` bytes at ``data[pos]``, which must all be there."""
+    if len(data) - pos < n:
+        raise MalformedPacket(f"packet truncated: wanted {n} bytes, have {len(data) - pos}")
+    return pos + n
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
+def _string_at(data: bytes, pos: int) -> tuple[str, int]:
+    """The MQTT string at ``data[pos]``, a 16-bit length and then that
+    many bytes of UTF-8 with no U+0000, and the position after it. Flat,
+    with no helper calls: it reads every PUBLISH topic."""
+    n = len(data)
+    end = pos + 2 + (data[pos] << 8 | data[pos + 1]) if n - pos >= 2 else n + 1
+    if end > n:
+        raise MalformedPacket("packet truncated in a string")
+    try:
+        text = data[pos + 2 : end].decode()
+    except UnicodeDecodeError as exc:
+        raise MalformedPacket(f"invalid UTF-8 in string: {exc}") from None
+    if "\x00" in text:
+        raise MalformedPacket("string contains U+0000")
+    return text, end
 
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
 
-    def _need(self, n: int) -> int:
-        """The position of the next ``n`` bytes, which it consumes."""
-        pos = self.pos
-        if len(self.data) - pos < n:
-            raise MalformedPacket(f"packet truncated: wanted {n} bytes, have {self.remaining()}")
-        self.pos = pos + n
-        return pos
-
-    def take(self, n: int) -> bytes:
-        pos = self._need(n)
-        return self.data[pos : pos + n]
-
-    def rest(self) -> bytes:
-        pos, self.pos = self.pos, len(self.data)
-        return self.data[pos:]
-
-    def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack_from(self.data, self._need(layout.size))
-
-    def u8(self) -> int:
-        return self.data[self._need(1)]
-
-    def u16(self) -> int:
-        pos = self._need(2)
-        return (self.data[pos] << 8) | self.data[pos + 1]
-
-    def string(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPacket(f"invalid UTF-8 in string: {exc}") from None
-        if "\x00" in text:
-            raise MalformedPacket("string contains U+0000")
-        return text
-
-    def binary(self) -> bytes:
-        return self.take(self.u16())
+def _binary_at(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The length-prefixed bytes at ``data[pos]`` and the position after them."""
+    start = _need(data, pos, 2)
+    end = _need(data, start, data[pos] << 8 | data[pos + 1])
+    return data[start:end], end
 
 
 def _string(text: str) -> bytes:
@@ -498,32 +478,35 @@ def _encode_connect(body: Connect) -> bytes:
     return head + _U16.pack(body.keep_alive) + payload
 
 
-def _decode_connect(reader: _Reader) -> tuple:
-    protocol = reader.string()
+def _decode_connect(data: bytes, pos: int) -> tuple[tuple, int]:
+    protocol, pos = _string_at(data, pos)
     if protocol != "MQTT":
         raise MalformedPacket(f"unexpected protocol name {protocol!r}")
-    level = reader.u8()
-    connect_flags = reader.u8()
+    pos = _need(data, pos, 2)
+    level, connect_flags = data[pos - 2], data[pos - 1]
     if connect_flags & 0x01:
         raise MalformedPacket("CONNECT reserved flag bit set")
-    keep_alive = reader.u16()
-    client_id = reader.string()
+    pos = _need(data, pos, 2)
+    keep_alive = data[pos - 2] << 8 | data[pos - 1]
+    client_id, pos = _string_at(data, pos)
     clean_session = bool(connect_flags & 0x02)
-    will = None
+    will = username = password = None
     if connect_flags & 0x04:
         will_qos = (connect_flags >> 3) & 0x03
         if will_qos == 3:
             raise MalformedPacket("will QoS 3 is invalid")
-        will_topic = reader.string()
-        will_payload = reader.binary()
+        will_topic, pos = _string_at(data, pos)
+        will_payload, pos = _binary_at(data, pos)
         will = Will(will_topic, will_payload, will_qos, bool(connect_flags & 0x20))
     elif connect_flags & 0x38:
         raise MalformedPacket("will QoS/retain set without will flag")
-    username = reader.string() if connect_flags & 0x80 else None
-    password = reader.binary() if connect_flags & 0x40 else None
-    if password is not None and username is None:
-        raise MalformedPacket("password flag set without username flag")
-    return client_id, clean_session, keep_alive, will, username, password, level
+    if connect_flags & 0x80:
+        username, pos = _string_at(data, pos)
+    if connect_flags & 0x40:
+        password, pos = _binary_at(data, pos)
+        if username is None:
+            raise MalformedPacket("password flag set without username flag")
+    return (client_id, clean_session, keep_alive, will, username, password, level), pos
 
 
 def _encode_connack(body: Connack) -> bytes:
@@ -532,11 +515,13 @@ def _encode_connack(body: Connack) -> bytes:
     return bytes([int(body.session_present), body.return_code])
 
 
-def _decode_connack(reader: _Reader) -> tuple:
-    ack_flags = reader.u8()
+def _decode_connack(data: bytes, pos: int) -> tuple[tuple, int]:
+    pos = _need(data, pos, 1)
+    ack_flags = data[pos - 1]
     if ack_flags & 0xFE:
         raise MalformedPacket("CONNACK acknowledge flags bits 1-7 must be 0")
-    return bool(ack_flags & 0x01), reader.u8()
+    pos = _need(data, pos, 1)
+    return (bool(ack_flags & 0x01), data[pos - 1]), pos
 
 
 def _encode_filter_entry(f: TopicFilter) -> bytes:
@@ -566,11 +551,12 @@ def _encode_filters(body: Subscribe) -> bytes:
     return b"".join(_encode_filter_entry(f) for f in body.filters)
 
 
-def _decode_filters(reader: _Reader) -> tuple:
+def _decode_filters(data: bytes, pos: int) -> tuple[tuple, int]:
     filters = []
-    while reader.remaining():
-        topic = reader.string()
-        qos_byte = reader.u8()
+    while pos < len(data):
+        topic, pos = _string_at(data, pos)
+        pos = _need(data, pos, 1)
+        qos_byte = data[pos - 1]
         if qos_byte & ~(GEO_FILTER_FLAG | 0x03):
             raise ProtocolViolation(f"reserved bits set in QoS byte 0x{qos_byte:02x}")
         qos = qos_byte & 0x03
@@ -578,7 +564,8 @@ def _decode_filters(reader: _Reader) -> tuple:
             raise ProtocolViolation("requested QoS 3 is invalid")
         constraint = None
         if qos_byte & GEO_FILTER_FLAG:
-            kind_byte, radius, latitude, longitude = reader.unpack(_RADIUS_ENTRY)
+            entry, pos = pos, _need(data, pos, _RADIUS_ENTRY.size)
+            kind_byte, radius, latitude, longitude = _RADIUS_ENTRY.unpack_from(data, entry)
             try:
                 kind = ConstraintKind(kind_byte)
             except ValueError:
@@ -593,7 +580,7 @@ def _decode_filters(reader: _Reader) -> tuple:
         filters.append(TopicFilter(topic, qos, constraint))
     if not filters:
         raise ProtocolViolation("SUBSCRIBE with no topic filters")
-    return (tuple(filters),)
+    return (tuple(filters),), pos
 
 
 def _encode_return_codes(body: Suback) -> bytes:
@@ -605,14 +592,14 @@ def _encode_return_codes(body: Suback) -> bytes:
     return bytes(body.return_codes)
 
 
-def _decode_return_codes(reader: _Reader) -> tuple:
-    codes = tuple(reader.rest())
+def _decode_return_codes(data: bytes, pos: int) -> tuple[tuple, int]:
+    codes = tuple(data[pos:])
     if not codes:
         raise MalformedPacket("SUBACK with no return codes")
     for code in codes:
         if code not in (0x00, 0x01, 0x02, 0x80):
             raise MalformedPacket(f"invalid SUBACK return code 0x{code:02x}")
-    return (codes,)
+    return (codes,), len(data)
 
 
 def _encode_topics(body: Unsubscribe) -> bytes:
@@ -624,13 +611,14 @@ def _encode_topics(body: Unsubscribe) -> bytes:
     return b"".join(_string(topic) for topic in body.topics)
 
 
-def _decode_topics(reader: _Reader) -> tuple:
+def _decode_topics(data: bytes, pos: int) -> tuple[tuple, int]:
     topics = []
-    while reader.remaining():
-        topics.append(reader.string())
+    while pos < len(data):
+        topic, pos = _string_at(data, pos)
+        topics.append(topic)
     if not topics:
         raise ProtocolViolation("UNSUBSCRIBE with no topic filters")
-    return (tuple(topics),)
+    return (tuple(topics),), pos
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +635,7 @@ class _Spec(NamedTuple):
     # The rest of a variable body; both None for a fixed layout, whose
     # packet identifier and block are all of its body.
     encode: Callable[[Body], bytes] | None
-    decode: Callable[[_Reader], tuple] | None
+    decode: Callable[[bytes, int], tuple[tuple, int]] | None
 
 
 # PUBLISH and PUBLISHG are not here: their flags carry DUP, QoS and RETAIN.
@@ -772,10 +760,11 @@ def decode_packet(data: bytes) -> ControlPacket:
     fixed layout (PUBACK, PUBREC, PUBREL, PUBCOMP, UNSUBACK, PINGREQ,
     PINGRESP, DISCONNECT) is only its packet identifier and block; a
     variable body (CONNECT, CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE) reads
-    the rest with its ``_Spec.decode``. ``_id_and_block`` reads the packet
-    identifier and block on each path. The body is its ``_Spec.body`` made
-    from the packet identifier and the fields after the block, which a
-    fixed layout has none of.
+    the rest with its ``_Spec.decode``, which takes the frame and the
+    position after the block and returns the fields and the position after
+    them. ``_id_and_block`` reads the packet identifier and block on each
+    path. The body is its ``_Spec.body`` made from the packet identifier
+    and the fields after the block, which a fixed layout has none of.
     """
     first, remaining, pos = _read_fixed_header(data)
     n = len(data)
@@ -790,9 +779,7 @@ def decode_packet(data: bytes) -> ControlPacket:
     packet_id, geo, pos = _id_and_block(data, pos, spec.packet_id, flags & GEO_FLAG, first >> 4)
     fields = ()
     if spec.decode is not None:
-        reader = _Reader(data, pos)
-        fields = spec.decode(reader)
-        pos = reader.pos
+        fields, pos = spec.decode(data, pos)
     if pos != n:
         raise MalformedPacket(f"{n - pos} unexpected trailing bytes in {spec.ptype.name}")
     body = spec.body(packet_id, *fields) if spec.packet_id else spec.body(*fields)
@@ -827,21 +814,13 @@ def _decode_publish(data: bytes, first: int, pos: int) -> ControlPacket:
     those bytes back: ``data`` is ``bytes``, its remaining length is minimal
     (not ``80 00``) and a version-1 block's elevation is not a NaN, which
     struct writes back quiet (``01 00 80 7f`` as ``01 00 c0 7f``)."""
-    n, qos = len(data), first >> 1 & 0x03
+    qos = first >> 1 & 0x03
     if qos == 3:
         raise ProtocolViolation("publish QoS 3 is invalid")
     if first & 0x08 and not qos:
         raise ProtocolViolation("DUP set on a QoS 0 publish")
-    end = pos + 2 + (data[pos] << 8 | data[pos + 1]) if n - pos >= 2 else n + 1
-    if end > n:
-        raise MalformedPacket("packet truncated in the publish topic")
-    try:
-        topic = data[pos + 2 : end].decode()
-    except UnicodeDecodeError as exc:
-        raise MalformedPacket(f"invalid UTF-8 in string: {exc}") from None
+    topic, end = _string_at(data, pos)
     if not topic_name_valid(topic):
-        if "\x00" in topic:
-            raise MalformedPacket("string contains U+0000")
         raise ProtocolViolation(f"invalid publish topic {topic!r}")
     # data[pos - 1], the last remaining-length byte, is 0 only in a longer form than needed.
     frame = data if data.__class__ is bytes and data[pos - 1] else None

@@ -316,6 +316,41 @@ def test_a_connect_answered_by_a_long_packet_fails_and_closes():
             assert sock.recv(1) == b""  # EOF: the client closed its end
 
 
+NO_CONNACK = {
+    "silent": (lambda sock: None, "no CONNACK within the connect timeout"),
+    "closed": (lambda sock: sock.shutdown(socket.SHUT_WR), "connection closed before CONNACK"),
+    "pingresp": (lambda sock: sock.sendall(b"\xd0\x00"), "expected CONNACK, got PINGRESP"),
+}
+
+
+@pytest.mark.parametrize("answer, error", NO_CONNACK.values(), ids=NO_CONNACK)
+def test_a_connect_without_a_connack_times_out_and_closes(answer, error):
+    """A peer that never answers, ends its side, or answers with another
+    packet: connect() raises ConnectTimeout and closes its socket."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = []
+
+        def serve():
+            sock, _ = listener.accept()
+            peer.append(sock)
+            read_frame(sock)  # CONNECT
+            answer(sock)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        client = MqttgClient(
+            ClientConfig(client_id="waits", port=listener.getsockname()[1], connect_timeout=0.3)
+        )
+        with pytest.raises(ConnectTimeout, match=error):
+            client.connect()
+        assert not client.connected
+        server.join(5.0)
+        assert not server.is_alive()
+        with peer[0] as sock:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF: the client closed its end
+
+
 def test_each_exchange_waits_for_its_own_reply_class():
     """Acks that carry an exchange's packet id but are of another class are
     ignored: a QoS 1 publish ends at its PUBACK, a QoS 2 one at its PUBREC

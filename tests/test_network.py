@@ -323,6 +323,24 @@ class TestGeoBehavior:
             with pytest.raises((TimeoutError, socket.timeout)):
                 listener.accept()
 
+    def test_an_admin_request_that_times_out_closes_its_socket(self, monkeypatch):
+        """The caught exception's traceback still holds the call's frame:
+        the socket it opened must be closed all the same, not left to the
+        garbage collector."""
+        opened = []
+
+        def create_connection(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        connect = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # it never answers
+            with pytest.raises((TimeoutError, socket.timeout)) as timed_out:
+                admin_request("127.0.0.1", listener.getsockname()[1], "DUMP-LOCATIONS", timeout=0.3)
+            assert timed_out.value.__traceback__ is not None
+            assert [sock.fileno() for sock in opened] == [-1]
+
     def test_an_admin_line_past_the_limit_gets_err_and_eof(self, broker):
         started = time.monotonic()
         with socket.create_connection(("127.0.0.1", broker.admin_port), timeout=1.0) as sock:
