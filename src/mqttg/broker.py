@@ -35,11 +35,12 @@ or a session close drops none: a plan shares the tree's subscriber maps,
 which lose the client at once. PLAN_ENTRIES bounds what the plans hold.
 What depends on where a client is stays out of the plan: radius verdicts,
 fence containment and geo-capability are decided at each publish.
-Geometry is compiled when it is stored (see geo): a radius filter keeps a
-geo.Circle, a static fence its Ring, and a dynamic fence the Ring it last
-resolved to, with the anchor's record it was resolved at. A fix is its
-own point: the decoder has already checked a version-1 block's
-coordinates.
+A subscription is the TopicFilter the client sent. Geometry is compiled
+once (see geo): a radius constraint holds its geo.Circle, a static fence
+its Ring, and a dynamic fence the Ring it last resolved to, with the
+anchor's record it was resolved at. A fix is its own point: the decoder
+has already checked a version-1 block's coordinates. A will is routed as
+a publish without geolocation, on the same path.
 
 route() decides most radius filters without a call. A point past the
 circle's latitude band is outside; a point within its inner bound, where
@@ -62,10 +63,8 @@ from selectors import EVENT_READ, EVENT_WRITE
 from .codec import (
     Connack,
     Connect,
-    ConstraintKind,
     ControlPacket,
     Disconnect,
-    GeoConstraint,
     GeoLocation,
     Pingreq,
     Pingresp,
@@ -93,7 +92,6 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .geo import (
-    Circle,
     FenceMode,
     GeofencePolygon,
     GeoPoint,
@@ -123,21 +121,6 @@ ADMIN_COMMANDS = ("DUMP-LOCATIONS", "ADD-FENCE", "CLEAR-FENCE")
 Write = tuple[object, bytes | None]  # (connection handle, bytes to send, or None to close it)
 
 _set = object.__setattr__
-
-
-class Subscription(Record):
-    """A stored filter; a radius constraint is compiled to a geo.Circle."""
-
-    _fields = ("topic", "qos", "constraint")
-    __slots__ = (*_fields, "circle")
-
-    def __init__(self, topic: str, qos: int, constraint: GeoConstraint | None = None) -> None:
-        self.topic = topic
-        self.qos = qos
-        self.constraint = c = constraint
-        self.circle = None if c is None else Circle(
-            GeoPoint(c.latitude, c.longitude), c.radius, c.kind is ConstraintKind.INSIDE_RADIUS
-        )
 
 
 class LocationRecord(Record):
@@ -171,7 +154,7 @@ class SessionState(Record):
 
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
-        self.subscriptions: dict[str, Subscription] = {}
+        self.subscriptions: dict[str, TopicFilter] = {}  # the filters as the client sent them
         self.geo_capable = False
         self.next_pid = 1
         # QoS flow tables, made on first use: most sessions never need them
@@ -199,10 +182,10 @@ class _StoredFence:
         self.ring: Ring | None = fence.ring
 
 
-# A topic's route plan: the subscriber maps ({client: Subscription}) of the
+# A topic's route plan: the subscriber maps ({client: TopicFilter}) of the
 # filters matching the topic, and {candidate client: its fences whose
 # filters match the topic}.
-Plan = tuple[list[dict[str, Subscription]], dict[str, list[_StoredFence]]]
+Plan = tuple[list[dict[str, TopicFilter]], dict[str, list[_StoredFence]]]
 
 
 class BrokerState:
@@ -214,7 +197,7 @@ class BrokerState:
         self.events = events or EventLog()
         self.clients: dict[object, str] = {}  # connection handle -> client id
         self.sessions: dict[str, SessionState] = {}
-        # filter -> {client_id: Subscription}; the same objects as in
+        # filter -> {client_id: TopicFilter}; the same objects as in
         # session.subscriptions, kept in step by every method that changes them
         self.subscriptions = TopicTree()
         self.locations: dict[str, LocationRecord] = {}
@@ -277,15 +260,7 @@ class BrokerState:
                     if session.incoming_qos2 is None:
                         session.incoming_qos2 = set()
                     session.incoming_qos2.add(body.packet_id)
-                if body.retain:
-                    # Retained copies never keep the geolocation block.
-                    self.set_retained(body.topic, body.payload, body.qos)
-                source = packet if body.qos == 0 and not body.retain else None
-                for d in self.route(cid, body.topic, body.qos, geo):
-                    self._queue_publish(
-                        writes, d.client_id, body.topic, body.payload, d.qos,
-                        geo if d.include_geo else None, source=source,
-                    )
+                self._publish(writes, cid, body.topic, body.payload, body.qos, body.retain, geo, packet)
             if body.qos == 1:
                 reply = PubAck(body.packet_id)
             elif body.qos == 2:
@@ -342,7 +317,8 @@ class BrokerState:
         return self._drop(session)
 
     def _connect(self, conn: object, body: Connect) -> tuple[list[Write], bool]:
-        if body.protocol_level != 4 or not body.client_id:
+        # An id must be one admin token: not empty, and no whitespace (MQTT-3.1.3-9).
+        if body.protocol_level != 4 or body.client_id.split() != [body.client_id]:
             code = CONNACK_BAD_PROTOCOL if body.protocol_level != 4 else CONNACK_ID_REJECTED
             return [(conn, encode_packet(ControlPacket(Connack(False, code))))], False
         writes: list[Write] = []
@@ -373,11 +349,23 @@ class BrokerState:
         writes: list[Write] = []
         will = session.will
         if will is not None:
-            if will.retain:
-                self.set_retained(will.topic, will.payload, will.qos)
-            for d in self.route(cid, will.topic, will.qos, None):
-                self._queue_publish(writes, d.client_id, will.topic, will.payload, d.qos)
+            self._publish(writes, cid, will.topic, will.payload, will.qos, will.retain)
         return writes
+
+    def _publish(
+        self, writes: list[Write], cid: str, topic: str, payload: bytes, qos: int, retain: bool,
+        geo: GeoLocation | None = None, packet: ControlPacket | None = None,
+    ) -> None:
+        """Store, route and queue one publish from ``cid``: a received
+        ``packet``, or a will (no packet, no geolocation)."""
+        if retain:
+            # Retained copies never keep the geolocation block.
+            self.set_retained(topic, payload, qos)
+        source = packet if qos == 0 and not retain else None
+        for d in self.route(cid, topic, qos, geo):
+            self._queue_publish(
+                writes, d.client_id, topic, payload, d.qos, geo if d.include_geo else None, source=source
+            )
 
     def _queue_publish(
         self,
@@ -447,8 +435,8 @@ class BrokerState:
             ):
                 codes.append(SUBACK_FAILURE)
                 continue
-            sub = session.subscriptions[f.topic] = Subscription(f.topic, f.qos, f.constraint)
-            self.subscriptions.add(f.topic, client_id, sub)
+            session.subscriptions[f.topic] = f
+            self.subscriptions.add(f.topic, client_id, f)
             codes.append(f.qos)
         self.plans.clear()
         return codes
@@ -519,10 +507,11 @@ class BrokerState:
         via_circle: set[str] = set()  # clients with a passing radius filter
         for subs in nodes:
             for client_id, sub in subs.items():
-                circle = sub.circle
-                if circle is not None:
+                constraint = sub.constraint
+                if constraint is not None:
                     if point is None:
                         continue
+                    circle = constraint.circle
                     center = circle.center
                     dlat = abs(lat - center.latitude)
                     if dlat > circle.band:

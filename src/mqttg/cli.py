@@ -13,7 +13,7 @@ import sys
 import time
 
 from .broker import Broker, admin_request
-from .client import ClientConfig, MqttgClient
+from .client import ClientConfig, LocationSource, MqttgClient
 from .codec import ConstraintKind, GeoConstraint, GeoLocation
 from .errors import MQTTgError
 from .eventlog import EventLog
@@ -128,13 +128,7 @@ def _location_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--elev", type=float, default=0.0)
 
 
-def _client_config(args, default_id: str) -> ClientConfig:
-    source = None
-    if args.lat is not None or args.lon is not None:
-        if args.lat is None or args.lon is None:
-            raise MQTTgError("--lat and --lon must be given together")
-        fix = GeoLocation(1, args.lat, args.lon, args.elev)
-        source = lambda: fix
+def _client_config(args, default_id: str, source: LocationSource | None) -> ClientConfig:
     return ClientConfig(
         client_id=args.client_id or default_id,
         host=args.host,
@@ -144,23 +138,30 @@ def _client_config(args, default_id: str) -> ClientConfig:
     )
 
 
+def _fixed_source(args) -> LocationSource | None:
+    if args.lat is None and args.lon is None:
+        return None
+    if args.lat is None or args.lon is None:
+        raise MQTTgError("--lat and --lon must be given together")
+    fix = GeoLocation(1, args.lat, args.lon, args.elev)
+    return lambda: fix
+
+
 def _parse_constraint(args) -> GeoConstraint | None:
-    specs = [
-        (ConstraintKind.INSIDE_RADIUS, args.inside_radius),
-        (ConstraintKind.OUTSIDE_RADIUS, args.outside_radius),
-    ]
-    for kind, text in specs:
-        if text is None:
-            continue
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise MQTTgError(f"expected R,LAT,LON, got {text!r}")
-        try:
-            radius, lat, lon = (float(p) for p in parts)
-        except ValueError:
-            raise MQTTgError(f"expected R,LAT,LON as numbers, got {text!r}") from None
-        return GeoConstraint(kind, radius, lat, lon)
-    return None
+    """The constraint of the one radius flag argparse lets through, if any."""
+    inside = args.inside_radius is not None
+    text = args.inside_radius if inside else args.outside_radius
+    if text is None:
+        return None
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise MQTTgError(f"expected R,LAT,LON, got {text!r}")
+    try:
+        radius, lat, lon = (float(p) for p in parts)
+    except ValueError:
+        raise MQTTgError(f"expected R,LAT,LON as numbers, got {text!r}") from None
+    kind = ConstraintKind.INSIDE_RADIUS if inside else ConstraintKind.OUTSIDE_RADIUS
+    return GeoConstraint(kind, radius, lat, lon)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -195,7 +196,7 @@ def cmd_broker(args) -> int:
 
 
 def cmd_pub(args) -> int:
-    client = MqttgClient(_client_config(args, "mqttg-pub")).connect()
+    client = MqttgClient(_client_config(args, "mqttg-pub", _fixed_source(args))).connect()
     try:
         client.publish(args.topic, args.message, qos=args.qos, retain=args.retain)
     finally:
@@ -205,7 +206,7 @@ def cmd_pub(args) -> int:
 
 def cmd_sub(args) -> int:
     constraint = _parse_constraint(args)
-    client = MqttgClient(_client_config(args, "mqttg-sub")).connect()
+    client = MqttgClient(_client_config(args, "mqttg-sub", _fixed_source(args))).connect()
     try:
         for topic in args.topic:
             granted = client.subscribe(topic, qos=args.qos, constraint=constraint)
@@ -233,13 +234,7 @@ def cmd_replay(args) -> int:
     if not fixes:
         raise MQTTgError(f"route file {args.route} holds no fixes")
     current: list[GeoLocation | None] = [None]
-    config = ClientConfig(
-        client_id=args.client_id or "mqttg-replay",
-        host=args.host,
-        port=args.port,
-        keep_alive=args.keep_alive,
-        location_source=lambda: current[0],
-    )
+    config = _client_config(args, "mqttg-replay", lambda: current[0])
     client = MqttgClient(config).connect()
     try:
         prev = None

@@ -124,7 +124,7 @@ class MqttgClient:
         cfg = self.config
         try:
             sock = socket.create_connection((cfg.host, cfg.port), timeout=cfg.connect_timeout)
-        except (socket.timeout, OSError) as exc:
+        except OSError as exc:  # socket.timeout included
             raise ConnectTimeout(f"cannot reach {cfg.host}:{cfg.port}: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
@@ -246,7 +246,7 @@ class MqttgClient:
         return None if source is None else source()
 
     def _require_connected(self) -> None:
-        if not self._connected or self._sock is None:
+        if not self._connected:
             raise NotConnected("client is not connected")
 
     @contextmanager
@@ -273,12 +273,9 @@ class MqttgClient:
         raise DeliveryTimeout("no free packet identifiers")
 
     def _send(self, packet: ControlPacket) -> None:
-        sock = self._sock
-        if sock is None:
-            raise NotConnected("client is not connected")
         data = encode_packet(packet)
         with self._send_lock:
-            sock.sendall(data)
+            self._sock.sendall(data)
             self._last_send = time.monotonic()
 
     def _exchange(self, packet: ControlPacket, flow: _Flow, what: str) -> None:
@@ -334,11 +331,10 @@ class MqttgClient:
             message = InboundMessage(
                 body.topic, body.payload, body.qos, packet.geolocation, body.retain
             )
-            if body.qos == 0:
+            if body.qos < 2:
                 self._messages.put(message)
-            elif body.qos == 1:
-                self._messages.put(message)
-                self._send(ControlPacket(PubAck(body.packet_id), self._geo()))
+                if body.qos == 1:
+                    self._send(ControlPacket(PubAck(body.packet_id), self._geo()))
             else:
                 self._inbound_qos2[body.packet_id] = message
                 self._send(ControlPacket(PubRec(body.packet_id), self._geo()))

@@ -51,7 +51,7 @@ from .errors import (
     ProtocolViolation,
     ValueTooLarge,
 )
-from .geo import coordinates_valid
+from .geo import Circle, coordinates_valid
 from .record import FrozenRecord
 from .topics import topic_filter_valid, topic_name_bytes, topic_name_valid
 
@@ -133,15 +133,22 @@ class GeoLocation(FrozenRecord):
 
 
 class GeoConstraint(FrozenRecord):
-    """Radius constraint of a geo-capable subscription filter."""
+    """Radius constraint of a geo-capable subscription filter. ``circle``,
+    not a field, is the geo.Circle that routing tests, centred on the
+    constraint itself; None for a centre out of range, which no broker takes."""
 
-    __slots__ = _fields = ("kind", "radius", "latitude", "longitude")
+    _fields = ("kind", "radius", "latitude", "longitude")
+    __slots__ = (*_fields, "circle")
 
     def __init__(self, kind: ConstraintKind, radius: float, latitude: float, longitude: float) -> None:
         _set(self, "kind", kind)
         _set(self, "radius", _f32(radius))  # meters, > 0
         _set(self, "latitude", latitude)
         _set(self, "longitude", longitude)
+        circle = None
+        if coordinates_valid(latitude, longitude):  # else Circle's math.cos(inf) would raise
+            circle = Circle(self, self.radius, kind is ConstraintKind.INSIDE_RADIUS)
+        _set(self, "circle", circle)
 
 
 class TopicFilter(FrozenRecord):

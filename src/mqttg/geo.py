@@ -127,11 +127,11 @@ _WRAP_SLACK = 1e-12  # degrees
 
 
 class Circle:
-    """A radius filter compiled for containment tests.
-
-    ``inside`` is the filter's kind: True for inside-radius, False for
-    outside-radius. ``band`` is latitude_band(radius): a point whose
-    latitude differs from the centre's by more is outside.
+    """A radius filter compiled for containment tests. ``center`` is any
+    valid point: codec.GeoConstraint passes itself. ``inside`` is the kind:
+    True for inside-radius, False for outside-radius. ``band`` is
+    latitude_band(radius): a point whose latitude differs from the centre's
+    by more is outside.
 
     ``inner`` is an inner bound. A walk along the centre's parallel, then
     along the point's meridian, is at least as long as the great-circle

@@ -81,10 +81,6 @@ def write_route(fh: IO[str], fixes: list[RouteFix], meta: dict[str, object]) -> 
         )
 
 
-def _spaced_offsets(n_fixes: int, interval_s: float) -> list[float]:
-    return [i * interval_s for i in range(n_fixes)]
-
-
 def gen_line_equator(
     length_m: float, n_fixes: int, interval_s: float = 30.0, start_lon: float = 0.0
 ) -> tuple[list[RouteFix], float]:
@@ -92,10 +88,9 @@ def gen_line_equator(
     _check_shape(length_m > 0, "length must be > 0")
     _check_shape(n_fixes >= 2, "a path needs at least 2 fixes")
     dlon_total = length_m / METERS_PER_DEGREE
-    offsets = _spaced_offsets(n_fixes, interval_s)
     fixes = [
-        RouteFix(t, 0.0, normalize_longitude(start_lon + dlon_total * i / (n_fixes - 1)))
-        for i, t in enumerate(offsets)
+        RouteFix(i * interval_s, 0.0, normalize_longitude(start_lon + dlon_total * i / (n_fixes - 1)))
+        for i in range(n_fixes)
     ]
     return fixes, length_m
 
@@ -108,10 +103,9 @@ def gen_line_meridian(
     _check_shape(n_fixes >= 2, "a path needs at least 2 fixes")
     dlat_total = length_m / METERS_PER_DEGREE
     _check_shape(start_lat + dlat_total <= 90.0, "route would cross the pole")
-    offsets = _spaced_offsets(n_fixes, interval_s)
     fixes = [
-        RouteFix(t, start_lat + dlat_total * i / (n_fixes - 1), lon)
-        for i, t in enumerate(offsets)
+        RouteFix(i * interval_s, start_lat + dlat_total * i / (n_fixes - 1), lon)
+        for i in range(n_fixes)
     ]
     return fixes, length_m
 
@@ -135,13 +129,12 @@ def gen_circle(
     r_deg = radius_m / METERS_PER_DEGREE
     cos_lat = math.cos(math.radians(center_lat))
     _check_shape(cos_lat > 1e-9, "circle center too close to a pole")
-    offsets = _spaced_offsets(sides + 1, interval_s)
     fixes = []
-    for i, t in enumerate(offsets):
+    for i in range(sides + 1):
         theta = 2.0 * math.pi * (i % sides) / sides
         lat = center_lat + r_deg * math.cos(theta)
         lon = normalize_longitude(center_lon + r_deg * math.sin(theta) / cos_lat)
-        fixes.append(RouteFix(t, lat, lon))
+        fixes.append(RouteFix(i * interval_s, lat, lon))
     perimeter = sides * 2.0 * radius_m * math.sin(math.pi / sides)
     return fixes, perimeter
 

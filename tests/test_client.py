@@ -10,6 +10,7 @@ from mqttg.client import ClientConfig, MqttgClient
 from mqttg.codec import (
     Connack,
     ControlPacket,
+    Pingreq,
     GeoLocation,
     PacketType,
     PubAck,
@@ -27,6 +28,7 @@ from mqttg.errors import (
     ConnectTimeout,
     DeliveryTimeout,
     MalformedPacket,
+    NotConnected,
     SubscriptionRefused,
 )
 from mqttg.netio import CHUNK
@@ -521,3 +523,68 @@ def test_a_client_that_sends_often_enough_never_pings(broker):
     frames = [decode_packet(f) for f in split_frames(bytes(tap.client_to_server))]
     assert sum(1 for f in frames if f.packet_type is PacketType.PUBLISH) == 10
     assert not any(f.packet_type is PacketType.PINGREQ for f in frames)
+
+
+class _ScriptedBroker:
+    """Accepts one connection, answers CONNACK, then runs ``script`` on
+    the socket; the socket is closed when the script returns."""
+
+    def __init__(self, script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, args=(script,), daemon=True)
+        self.thread.start()
+
+    def _serve(self, script):
+        with self.listener:
+            sock, _ = self.listener.accept()
+        with sock:
+            sock.settimeout(3.0)
+            read_frame(sock)  # CONNECT
+            sock.sendall(encode_packet(ControlPacket(Connack(False, 0))))
+            script(sock)
+
+
+def test_a_peer_that_closes_during_a_qos1_publish_ends_it_at_once():
+    """The reader's EOF releases the waiting flow with no reply, so the
+    publish raises NotConnected at once, not after 1.5 x the keep-alive."""
+    peer = _ScriptedBroker(read_frame)  # reads the PUBLISH, then closes
+    client = MqttgClient(ClientConfig(client_id="dropped", port=peer.port, keep_alive=60)).connect()
+    try:
+        started = time.monotonic()
+        with pytest.raises(NotConnected, match="connection lost during QoS 1 publish to 't'"):
+            client.publish("t", b"x", qos=1)
+        assert time.monotonic() - started < 5.0
+        assert not client.connected
+        with pytest.raises(NotConnected):
+            client.publish("t", b"x", qos=1)
+    finally:
+        client.disconnect()
+        peer.thread.join(5.0)
+
+
+def test_an_unexpected_packet_from_the_broker_is_logged_and_the_connection_stays_open(caplog):
+    """A PINGREQ is a client's packet; one from the broker is logged, and
+    the QoS 1 publish behind it is still dispatched and acknowledged."""
+    answered, release = threading.Event(), threading.Event()
+
+    def script(sock):
+        sock.sendall(
+            encode_packet(ControlPacket(Pingreq()))
+            + encode_packet(ControlPacket(Publish("after", b"", 1, packet_id=7)))
+        )
+        assert decode_packet(read_frame(sock)).body == PubAck(7)
+        answered.set()
+        release.wait(5.0)
+
+    peer = _ScriptedBroker(script)
+    client = MqttgClient(ClientConfig(client_id="puzzled", port=peer.port)).connect()
+    try:
+        assert answered.wait(5.0)
+        assert client.connected
+        assert client.receive(timeout=3.0).topic == "after"
+        assert "unexpected PINGREQ from broker" in caplog.text
+    finally:
+        release.set()
+        client.disconnect()
+        peer.thread.join(5.0)

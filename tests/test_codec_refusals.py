@@ -43,9 +43,10 @@ WILL = string("w/t") + binary(b"gone")
         (0x02 | 2 << 3, b""),
         (0x02 | 0x20, b""),  # will retain without the will flag
         (0x02 | 0x40, binary(b"p")),  # a password without a user name
+        (0x02 | 0x01, b""),  # the reserved bit 0 [MQTT-3.1.2-3]
     ],
     ids=["will-qos-3", "will-qos-1-no-will", "will-qos-2-no-will", "will-retain-no-will",
-         "password-no-username"],
+         "password-no-username", "reserved-bit"],
 )
 def test_a_connect_with_inconsistent_flags_is_malformed(flags, payload):
     with pytest.raises(MalformedPacket):

@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from mqttg.broker import Delivery, LocationRecord, SessionState, Subscription
+from mqttg.broker import Delivery, LocationRecord, SessionState
 from mqttg.codec import (
     Connack,
     Connect,
@@ -116,11 +116,6 @@ CASES = [
         True,
     ),
     (
-        lambda: Subscription("a/b", 1, constraint()),
-        f"Subscription(topic='a/b', qos=1, constraint={C_REPR})",
-        False,
-    ),
-    (
         lambda: LocationRecord("c1", location(), 123.5),
         f"LocationRecord(client_id='c1', location={G_REPR}, received_at=123.5, cumulative_distance_m=0.0, "
         "last_speed_kmh=None, updates=1, segment_m=0.0)",
@@ -138,7 +133,7 @@ IDS = [text.split("(")[0] for _, text, _ in CASES]
 
 
 def test_the_table_holds_one_row_per_class():
-    assert len(CASES) == len({type(make()) for make, _, _ in CASES}) == 26
+    assert len(CASES) == len({type(make()) for make, _, _ in CASES}) == 25
 
 
 @pytest.mark.parametrize("make, text, frozen", CASES, ids=IDS)
@@ -179,10 +174,12 @@ def test_fields_left_out_of_eq_hash_and_repr():
     square = (GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1))
     fence = GeofencePolygon(FenceMode.STATIC, vertices=square)
     assert fence.ring is not None and "ring" not in repr(fence)
-    sub = Subscription("a", 0, constraint())
-    assert sub.circle is not None and sub == Subscription("a", 0, constraint())
-    sub.circle = None
-    assert sub == Subscription("a", 0, constraint()) and "circle" not in repr(sub)
+    made = constraint()
+    assert made.circle is not None and made.circle.center is made and "circle" not in repr(made)
+    twin = copy.copy(made)  # rebuilt by __init__, with a circle of its own
+    assert twin == made and hash(twin) == hash(made) and twin.circle.center is twin
+    assert GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1.0, 91.0, 0.0).circle is None
+    assert GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1.0, float("inf"), 0.0).circle is None
 
 
 def test_construction_keeps_its_rounding_and_validation():

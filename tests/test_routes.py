@@ -41,6 +41,11 @@ class TestParse:
             parse_route(["0,0,0,0", "30,0,1,0", "30,0,2,0"])
         assert err.value.line_no == 3
 
+    def test_rejects_a_negative_first_offset(self):
+        with pytest.raises(RouteFormatError, match="offsets must be non-negative") as err:
+            parse_route(["# starts before zero", "-1,0,0,0", "0,0,1,0"])
+        assert err.value.line_no == 2
+
     def test_skips_comments_and_blanks(self):
         fixes, _ = parse_route(["# a comment", "", "0,1,2,3"])
         assert fixes == [RouteFix(0, 1, 2, 3)]

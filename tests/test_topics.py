@@ -26,6 +26,12 @@ class TestValidation:
         assert not topic_filter_valid(f)
 
 
+    def test_a_filter_longer_than_a_string_is_invalid(self):
+        assert topic_filter_valid("a" * 65535)
+        assert not topic_filter_valid("a" * 65536)
+        assert not topic_filter_valid("\u00e9" * 32768)  # 65536 bytes of UTF-8
+
+
 class TestMatching:
     @pytest.mark.parametrize(
         "f,t,expect",
