@@ -39,8 +39,12 @@ A subscription is the TopicFilter the client sent. Geometry is compiled
 once (see geo): a radius constraint holds its geo.Circle, a static fence
 its Ring, and a dynamic fence the Ring it last resolved to, with the
 anchor's record it was resolved at. A fix is its own point: the decoder
-has already checked a version-1 block's coordinates. A will is routed as
-a publish without geolocation, on the same path.
+has already checked a version-1 block's coordinates. A repeated fix costs
+almost nothing: equal blocks decode to one GeoLocation, whose event-log
+columns are formatted once, and a fix at the client's last latitude and
+longitude updates its LocationRecord in place, so a dynamic fence
+anchored there keeps its Ring. A will is routed as a publish without
+geolocation, on the same path.
 
 route() decides most radius filters without a call. A point past the
 circle's latitude band is outside; a point within its inner bound, where
@@ -169,8 +173,10 @@ class _StoredFence:
 
     A static fence's Ring is its own. A dynamic fence's is the one it last
     resolved to, kept with ``anchor``, the anchor's LocationRecord at that
-    time (None: it had none); None if that resolution failed. Every fix
-    and every new session replaces the anchor's record, so a record that
+    time (None: it had none); None if that resolution failed. Only a fix
+    that moves (or changes its block's version) replaces the anchor's
+    record, and every new session drops it; a fix that repeats the
+    latitude and longitude updates the record in place. So a record that
     is still the anchor's means the Ring is still right.
     """
 
@@ -407,16 +413,29 @@ class BrokerState:
     def update_last_location(
         self, client_id: str, geo: GeoLocation, now: float
     ) -> LocationRecord:
-        record = LocationRecord(client_id, geo, now)
+        """Record the client's fix. A fix at the record's latitude and
+        longitude, of the same version, updates the record in place: the
+        haversine of a point to itself is exactly 0.0, so its values are the
+        ones a new record would get, and a dynamic fence anchored there keeps
+        its Ring (see _StoredFence). Any other fix replaces the record."""
         prior = self.locations.get(client_id)
-        if prior is not None:
-            segment = haversine_distance(prior.location, geo)
-            dt = now - prior.received_at
-            record.segment_m = segment
-            record.cumulative_distance_m = prior.cumulative_distance_m + segment
-            record.last_speed_kmh = (segment / dt) * 3.6 if dt > 0 else None
-            record.updates = prior.updates + 1
-        self.locations[client_id] = record
+        if prior is None:
+            record = self.locations[client_id] = LocationRecord(client_id, geo, now)
+            return record
+        dt = now - prior.received_at
+        last = prior.location
+        same_point = last.latitude == geo.latitude and last.longitude == geo.longitude
+        if same_point and last.version == geo.version:
+            prior.location, prior.received_at, prior.segment_m = geo, now, 0.0
+            prior.last_speed_kmh = 0.0 if dt > 0 else None
+            prior.updates += 1
+            return prior
+        segment = haversine_distance(last, geo)
+        record = self.locations[client_id] = LocationRecord(client_id, geo, now)
+        record.segment_m = segment
+        record.cumulative_distance_m = prior.cumulative_distance_m + segment
+        record.last_speed_kmh = (segment / dt) * 3.6 if dt > 0 else None
+        record.updates = prior.updates + 1
         return record
 
     # -- subscriptions ------------------------------------------------------
@@ -512,16 +531,15 @@ class BrokerState:
                     if point is None:
                         continue
                     circle = constraint.circle
-                    center = circle.center
-                    dlat = abs(lat - center.latitude)
+                    dlat = abs(lat - circle.latitude)
                     if dlat > circle.band:
                         inside = False
                     else:
-                        dlon = abs(lon - center.longitude)
+                        dlon = abs(lon - circle.longitude)
                         if dlon > 180.0:
                             dlon = 360.0 - dlon
                         inside = dlat + circle.cos_lat * dlon <= circle.inner or inside_radius(
-                            point, center, circle.radius
+                            point, circle, circle.radius
                         )
                     if inside != circle.inside:
                         continue

@@ -25,7 +25,8 @@ paths, ``_string_at`` every string (the PUBLISH topic included),
 ``_binary_at`` the will payload and the password, and ``_need`` checks
 the bounds of each other fixed-size field. Every value a decoder returns
 is made by its class's own ``__init__``, so a decoded record is the one
-its constructor makes from the same fields.
+its constructor makes from the same fields. ``decode_geolocation`` keeps
+the last blocks it made, so equal blocks give one immutable GeoLocation.
 
 A decoded PUBLISH or PUBLISHG encodes to its own frame: it keeps its
 ``bytes`` when encoding the fields gives them back (a minimal remaining
@@ -134,8 +135,10 @@ class GeoLocation(FrozenRecord):
 
 class GeoConstraint(FrozenRecord):
     """Radius constraint of a geo-capable subscription filter. ``circle``,
-    not a field, is the geo.Circle that routing tests, centred on the
-    constraint itself; None for a centre out of range, which no broker takes."""
+    not a field, is the geo.Circle that routing tests, made from the
+    constraint's own centre; None for a centre out of range, which no
+    broker takes. The circle copies the centre's coordinates, so the
+    constraint is freed as soon as its last reference goes."""
 
     _fields = ("kind", "radius", "latitude", "longitude")
     __slots__ = (*_fields, "circle")
@@ -350,22 +353,42 @@ def encode_geolocation(geo: GeoLocation) -> bytes:
     return _GEO_BLOCK.pack(geo.version, geo.latitude, geo.longitude, geo.elevation)
 
 
+#: Blocks decode_geolocation has decoded, by their 21 bytes; cleared when full.
+_DECODED: dict[bytes, GeoLocation] = {}
+DECODED_BLOCKS = 256
+
+
 def decode_geolocation(data: bytes, pos: int = 0) -> GeoLocation:
-    """Parse the 21 bytes at ``data[pos:]`` as a geolocation block."""
-    if len(data) - pos < GEO_BLOCK_SIZE:
+    """Parse the 21 bytes at ``data[pos:]`` as a geolocation block.
+
+    A GeoLocation is immutable, so equal bytes give the same object: the
+    last DECODED_BLOCKS blocks that decoded are kept by their bytes, and a
+    device that repeats its fix costs one lookup. A block that does not
+    decode is never kept, and raises each time."""
+    block = data[pos : pos + GEO_BLOCK_SIZE]
+    if block.__class__ is not bytes:  # a bytearray's slice is no key
+        block = bytes(block)
+    geo = _DECODED.get(block)
+    if geo is not None:
+        return geo
+    if len(block) < GEO_BLOCK_SIZE:
         raise MalformedPacket(
             f"geolocation block truncated: {len(data) - pos} of {GEO_BLOCK_SIZE} bytes"
         )
-    version, latitude, longitude, elevation = _GEO_BLOCK.unpack_from(data, pos)
+    version, latitude, longitude, elevation = _GEO_BLOCK.unpack(block)
     if version == 1:
         if not coordinates_valid(latitude, longitude):
             raise InvalidCoordinates(
                 f"latitude {latitude!r} / longitude {longitude!r} out of range"
             )
-        return GeoLocation(1, latitude, longitude, elevation)
-    # Unknown layout versions are preserved verbatim and flagged unevaluable.
-    raw = bytes(data[pos : pos + GEO_BLOCK_SIZE])
-    return GeoLocation(version, latitude, longitude, elevation, raw)
+        geo = GeoLocation(1, latitude, longitude, elevation)
+    else:
+        # Unknown layout versions are preserved verbatim and flagged unevaluable.
+        geo = GeoLocation(version, latitude, longitude, elevation, block)
+    if len(_DECODED) >= DECODED_BLOCKS:
+        _DECODED.clear()
+    _DECODED[block] = geo
+    return geo
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +471,12 @@ def _binary(data: bytes) -> bytes:
     return _U16.pack(len(data)) + data
 
 
-def _packet_id(value: int | None, what: str) -> bytes:
+def _packet_id(value: int | None, what: PacketType | str) -> bytes:
+    """``value`` as two bytes. ``what`` names the packet only in a refusal:
+    reading a PacketType's name costs more than packing the id."""
     if value is None or not 1 <= value <= 65535:
-        raise EncodeError(f"{what} requires a packet identifier in [1, 65535], got {value}")
+        name = what.name if isinstance(what, PacketType) else what
+        raise EncodeError(f"{name} requires a packet identifier in [1, 65535], got {value}")
     return _U16.pack(value)
 
 
@@ -694,7 +720,7 @@ def encode_packet(packet: ControlPacket) -> bytes:
         first |= GEO_FLAG
         rest = encode_geolocation(geo)
     if spec.packet_id:
-        rest = _packet_id(body.packet_id, spec.ptype.name) + rest
+        rest = _packet_id(body.packet_id, spec.ptype) + rest
     if spec.encode is not None:
         rest += spec.encode(body)
     return _fixed_header(first, len(rest)) + rest

@@ -20,6 +20,8 @@ from typing import IO, Iterable
 from .codec import GeoLocation
 
 COLUMNS = ("timestamp", "client_id", "event", "lat", "lon", "elev", "distance_m", "speed_kmh")
+#: GeoLocations whose columns one EventLog keeps formatted; cleared when full.
+FORMATTED_PLACES = 256
 
 _needs_quotes = re.compile('[,"\r\n]').search
 
@@ -29,7 +31,12 @@ class EventLog:
     only by ``flush()``; the header is flushed at construction. Callers
     serialize access: the broker emits and flushes only on its loop's one
     thread, and flushes before it sends anything a packet caused, so each
-    row a packet caused reaches the streams first."""
+    row a packet caused reaches the streams first.
+
+    A GeoLocation is immutable, and the codec gives a repeated fix as the
+    same object, so its three columns are formatted once: the last
+    FORMATTED_PLACES are kept by ``id``, each with the object itself, so
+    that no id in the memo can be taken by another object."""
 
     def __init__(self, streams: Iterable[IO[str]] = ()):
         streams = list(streams)
@@ -37,6 +44,7 @@ class EventLog:
         self._flushes = [stream.flush for stream in streams]
         # (a whole second since the epoch, its "YYYY-MM-DDTHH:MM:SS")
         self._second = (None, "")
+        self._places: dict[int, tuple[GeoLocation, str]] = {}  # id(geo) -> (geo, "lat,lon,elev")
         self._write(",".join(COLUMNS) + "\r\n")
         self.flush()
 
@@ -69,7 +77,18 @@ class EventLog:
     ) -> None:
         if _needs_quotes(client_id):
             client_id = '"' + client_id.replace('"', '""') + '"'
-        where = ",," if geo is None else f"{geo.latitude:.6f},{geo.longitude:.6f},{geo.elevation:.6f}"
+        if geo is None:
+            where = ",,"
+        else:
+            places = self._places
+            held = places.get(id(geo))
+            if held is None:
+                if len(places) >= FORMATTED_PLACES:
+                    places.clear()
+                where = f"{geo.latitude:.6f},{geo.longitude:.6f},{geo.elevation:.6f}"
+                places[id(geo)] = geo, where
+            else:
+                where = held[1]
         distance = "" if distance_m is None else f"{distance_m:.6f}"
         speed = "" if speed_kmh is None else f"{speed_kmh:.6f}"
         self._write(f"{self._timestamp()},{client_id},{event},{where},{distance},{speed}\r\n")

@@ -128,7 +128,10 @@ _WRAP_SLACK = 1e-12  # degrees
 
 class Circle:
     """A radius filter compiled for containment tests. ``center`` is any
-    valid point: codec.GeoConstraint passes itself. ``inside`` is the kind:
+    valid point: codec.GeoConstraint passes itself. The circle keeps the
+    centre's ``latitude`` and ``longitude``, not the point, so a constraint
+    and its circle make no reference cycle; the circle is itself the centre
+    that inside_radius is given. ``inside`` is the kind:
     True for inside-radius, False for outside-radius. ``band`` is
     latitude_band(radius): a point whose latitude differs from the centre's
     by more is outside.
@@ -148,10 +151,11 @@ class Circle:
     inline and calls inside_radius only for a point between them.
     """
 
-    __slots__ = ("center", "radius", "inside", "band", "cos_lat", "inner")
+    __slots__ = ("latitude", "longitude", "radius", "inside", "band", "cos_lat", "inner")
 
     def __init__(self, center: GeoPoint, radius_m: float, inside: bool) -> None:
-        self.center = center
+        self.latitude = center.latitude
+        self.longitude = center.longitude
         self.radius = radius_m
         self.inside = inside
         self.band = latitude_band(radius_m)

@@ -121,6 +121,20 @@ def test_an_admin_command_that_cannot_be_run_gets_err_and_stores_nothing(line, r
     assert state.fences == {} and state.plans == {}
 
 
+def test_a_filter_holding_whitespace_routes_but_cannot_be_fenced():
+    """An admin command names a fence's filter as one token, so a filter
+    that holds whitespace, which MQTT allows, cannot be fenced or cleared;
+    a subscription to it still routes."""
+    state = BrokerState()
+    for client in ("pub", "sub"):
+        state.open_session(client)
+    assert state.subscribe("sub", (TopicFilter("a b/#", 1),)) == [1]
+    assert state.admin_command(f"ADD-FENCE sub a b/# static {SQUARE}") == ["ERR unknown fence mode 'b/#'"]
+    assert state.admin_command("CLEAR-FENCE sub a b/#") == ["ERR expected: CLEAR-FENCE client_id topic"]
+    assert state.fences == {}
+    assert [(d.client_id, d.qos) for d in state.route("pub", "a b/x", 2, None)] == [("sub", 1)]
+
+
 def test_add_fence_refuses_an_invalid_filter():
     state = BrokerState()
     triangle = (GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1))

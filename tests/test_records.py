@@ -175,9 +175,12 @@ def test_fields_left_out_of_eq_hash_and_repr():
     fence = GeofencePolygon(FenceMode.STATIC, vertices=square)
     assert fence.ring is not None and "ring" not in repr(fence)
     made = constraint()
-    assert made.circle is not None and made.circle.center is made and "circle" not in repr(made)
+    circle = made.circle  # centred on the constraint's coordinates, with no reference back to it
+    assert circle is not None and (circle.latitude, circle.longitude) == (made.latitude, made.longitude)
+    assert "circle" not in repr(made)
     twin = copy.copy(made)  # rebuilt by __init__, with a circle of its own
-    assert twin == made and hash(twin) == hash(made) and twin.circle.center is twin
+    assert twin == made and hash(twin) == hash(made) and twin.circle is not circle
+    assert (twin.circle.latitude, twin.circle.longitude) == (made.latitude, made.longitude)
     assert GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1.0, 91.0, 0.0).circle is None
     assert GeoConstraint(ConstraintKind.INSIDE_RADIUS, 1.0, float("inf"), 0.0).circle is None
 
